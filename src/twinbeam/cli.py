@@ -13,12 +13,7 @@ import json
 import sys
 
 from . import serialize
-from .conditional import (
-    ConditionalState,
-    SelectionRule,
-    build_conditional,
-    cond_count_dist,
-)
+from .conditional import SelectionRule, build_conditional, cond_count_dist
 from .core import joint_table, marginal_dist
 from .errors import TwinbeamError
 from .estimation import estimate_params, fidelity
@@ -170,11 +165,11 @@ def _run(args) -> int:
     elif args.command == "conditional":
         params = _params(args)
         rule = _selection_rule(args)
+        if args.state_out is not None and rule.kind != "exact":
+            raise TwinbeamError("--state-out needs an exact trigger rule (--t)")
         dist = cond_count_dist(params, rule, tol=args.tol, verify=args.verify)
         if args.state_out is not None:
             state = build_conditional(params, rule, tol=args.tol)
-            if not isinstance(state, ConditionalState):
-                raise TwinbeamError("--state-out needs an exact trigger rule (--t)")
             path = serialize.write_text(args.state_out, serialize.format_state_json(state))
             print(f"wrote {path}", file=sys.stderr)
         text = serialize.format_counts_json(dist) if _pick_format(args) == "json" \

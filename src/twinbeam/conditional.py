@@ -19,32 +19,42 @@ count is affine in the trigger value,
 
     M_t = [t*(M + eta*mu) + mu*M*(1-eta)] / (M + mu),
 
-and passes through (M, M).  Selection rules aggregate trigger outcomes:
-keeping all t above (or below) a threshold yields the marginal-weighted
-mixture of the exact-t states, renormalised by the acceptance probability.
+and passes through (M, M).  Selection rules aggregate trigger outcomes: a
+set A of accepted values (exact, above or below a threshold, or explicit)
+yields the marginal-weighted mixture of the exact-t states, renormalised by
+the acceptance probability P(A) = sum_{t in A} p2(t).  Because M_t is
+affine, the mixture mean is M_t evaluated at E[t | A]; the member states
+are built only when ``ConditionalMixture.states`` is read.
 
-Two independent routes give the count distribution of a conditional state:
-Bayes (a column of the joint table divided by the marginal) and the
-measurement route (binomial thinning of the photon weights).  They must
-agree; the cross-check is available at run time behind ``verify=True``.
+The count distribution of any selection is one weighted column sum of the
+joint law, P(s | t in A) = sum_{t in A} p(s, t) / P(A), evaluated by the
+rank-one slice kernel of the joint table restricted to the accepted
+columns (``core._column_sum``); an exact rule is the one-column case.  The
+measurement route (binomial thinning of the photon weights of each member
+state, mixed with the weights p2(t)/P(A)) is independent of it; behind
+``verify=True`` the two must agree to 10*tol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 from scipy import stats
+from scipy.special import betainc
 
 from .core import (
+    _FLOAT_SLACK,
     PhotoCountDistribution,
+    _column_sum,
     _log_binom_arr,
+    _log_marginal_arr,
     _mass_sum,
     _nb_quantile,
     _probs_and_tail,
-    _series_constants,
     _validate_count,
     _validate_tol,
     log_marginal,
@@ -193,24 +203,32 @@ class ConditionalState:
 class ConditionalMixture:
     """Marginal-weighted mixture of exact-t states under a selection rule.
 
-    ``members`` pairs each accepted trigger value with its renormalised
-    weight p2(t)/P(accept); ``success_prob`` is the preparation rate P(accept).
+    ``member_weights`` pairs each accepted trigger value with its
+    renormalised weight p2(t)/P(accept); ``success_prob`` is the preparation
+    rate P(accept).  The member states (support cut at ``tol``) are built on
+    first access to ``states``.
     """
 
     params: ExperimentParams
     rule: SelectionRule
     trigger_values: tuple[int, ...]
     member_weights: np.ndarray
-    states: tuple[ConditionalState, ...]
     success_prob: float
+    tol: float
 
     def __post_init__(self) -> None:
         w = np.ascontiguousarray(self.member_weights, dtype=float)
         w.flags.writeable = False
         object.__setattr__(self, "member_weights", w)
 
+    @cached_property
+    def states(self) -> tuple[ConditionalState, ...]:
+        return tuple(_build_exact(self.params, t, self.tol) for t in self.trigger_values)
+
     def mean_counts(self) -> float:
-        return float(self.member_weights @ [s.M_t for s in self.states])
+        """M_t is affine in t, so the mixture mean is M_t at E[t | accept]."""
+        mean_t = float(self.member_weights @ np.asarray(self.trigger_values, dtype=float))
+        return conditional_mean(self.params, mean_t)
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +338,14 @@ def build_conditional(
     tol = _validate_tol(tol)
     if rule.kind == "exact":
         return _build_exact(params, rule.threshold, tol)  # type: ignore[arg-type]
-    values = _accepted_values(params, rule, tol)
-    log_p2 = np.array([log_marginal(params, t) for t in values])
-    p2 = np.exp(log_p2)
-    success = _acceptance_prob(params, rule, values, p2)
-    states = tuple(_build_exact(params, t, tol) for t in values)
+    values, p2, success = _selection(params, rule, tol)
     return ConditionalMixture(
         params=params,
         rule=rule,
-        trigger_values=tuple(values),
+        trigger_values=tuple(values.tolist()),
         member_weights=p2 / success,
-        states=states,
         success_prob=success,
+        tol=tol,
     )
 
 
@@ -365,84 +379,44 @@ def _build_exact(params: ExperimentParams, t: int, tol: float) -> ConditionalSta
     )
 
 
-def _accepted_values(
+def _selection(
     params: ExperimentParams, rule: SelectionRule, tol: float
-) -> list[int]:
-    """Finite list of accepted trigger values covering all but a tol-scale
-    fraction of the acceptance probability."""
-    if rule.kind == "set":
-        return list(rule.values)  # type: ignore[arg-type]
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Accepted trigger values of a rule, their marginal probabilities p2(t)
+    and the acceptance probability P(A) = sum p2(t).
+
+    above(t*) is open-ended: P(A) is the upper tail of the marginal, summed
+    directly as a regularised incomplete beta function (no cancellation
+    against 1), and the values are cut where the omitted marginal tail is
+    <= tol*P(A)/10.
+    """
     thr = rule.threshold
-    if rule.kind == "below":
-        return list(range(0, thr))  # type: ignore[arg-type]
-    # above: open-ended; cut where the marginal tail is negligible relative
-    # to the acceptance probability.
-    success = _acceptance_prob(params, rule, None, None)
-    q = max(tol * success * 0.1, 1e-300)
-    hi = _nb_quantile(params, q)
-    lo = thr + 1  # type: ignore[operator]
-    if hi < lo:
-        hi = lo
-    return list(range(lo, hi + 1))
-
-
-def _acceptance_prob(params, rule, values, p2) -> float:
     if rule.kind == "above":
-        # complement of a finite sum: exact up to rounding
-        below = [
-            math.exp(log_marginal(params, t)) for t in range(0, rule.threshold + 1)
-        ]
-        success = 1.0 - math.fsum(below)
+        # P(t > thr) = I_q(thr + 1, mu) with q = M/(M + mu)
+        q = params.mean_counts / (params.mean_counts + params.mu)
+        success = 1.0 if thr < 0 else float(betainc(thr + 1.0, params.mu, q))
+        hi = _nb_quantile(params, max(tol * success * 0.1, 1e-300))
+        values = np.arange(thr + 1, max(hi, thr + 1) + 1)
+    elif rule.kind == "set":
+        values = np.array(rule.values)
     else:
-        if p2 is None:
-            values = _accepted_values(params, rule, 1e-12)
-            p2 = [math.exp(log_marginal(params, t)) for t in values]
-        success = float(math.fsum(np.asarray(p2).tolist()))
+        values = np.arange(thr, thr + 1) if rule.kind == "exact" else np.arange(thr)
+    p2 = np.exp(_log_marginal_arr(params, values))
+    if rule.kind != "above":
+        success = _mass_sum(p2)
     if success < 1e-300:
         raise ConditioningError(f"selection {rule.describe()} has vanishing probability")
-    return success
+    total = _mass_sum(p2 / success)
+    if abs(total - 1.0) > 0.1 * tol + _FLOAT_SLACK:
+        raise ConvergenceError(
+            f"member weights of {rule.describe()} sum to {total}, not 1"
+        )
+    return values, p2, success
 
 
 # ---------------------------------------------------------------------------
 # count distributions: Bayes route and measurement route
 # ---------------------------------------------------------------------------
-
-
-def _column_block(
-    params: ExperimentParams, t: int, s_max: int, tol_mass: float
-) -> np.ndarray:
-    """Joint-table column p(s, t) for s = 0..s_max at fixed t, truncation
-    mass <= tol_mass.  Same series as the full table, restricted to one t."""
-    mu = params.mu
-    if params.mean_counts == 0.0:
-        col = np.zeros(s_max + 1)
-        if t == 0:
-            col[0] = 1.0
-        return col
-    log_a, log_b, log_x = _series_constants(params)
-    log_rr = log_x - math.log1p(-params.eta)
-    rr = math.exp(log_rr)
-    base = mu * log_a + t * log_b
-    col = np.zeros(s_max + 1)
-    l = t
-    hard_cap = t + 10_000 + int(200.0 * (s_max + t + mu + 10.0) / max(1e-3, -log_rr))
-    with np.errstate(under="ignore"):
-        while True:
-            lo_t = float(_log_binom_arr(float(l), float(t)))
-            log_c = base + l * log_x + float(_log_binom_arr(l + mu - 1.0, float(l))) + lo_t
-            ks = np.arange(0, min(l, s_max) + 1, dtype=float)
-            log_u = ks * log_b + _log_binom_arr(float(l), ks)
-            col[: ks.size] += np.exp(log_c + log_u)
-            # mass of the slice over all s (0..l): multiply by (1+B)^l
-            log_mass = base + lo_t + float(_log_binom_arr(l + mu - 1.0, float(l))) + l * log_rr
-            ratio = _gamma_ratio(params, t, float(l))
-            if l >= max(s_max, t) and ratio < 1.0:
-                if math.exp(log_mass) * ratio / (1.0 - ratio) <= tol_mass:
-                    break
-            l += 1
-            if l > hard_cap:
-                raise ConvergenceError("column series did not converge")
-    return col
 
 
 def _count_support(params: ExperimentParams, t: int, tol: float) -> int:
@@ -494,50 +468,53 @@ def cond_count_dist(
 ) -> PhotoCountDistribution:
     """Count distribution of the selected signal state.
 
-    Exact rules use the Bayes route (joint column over marginal); set-like
-    rules average the exact-t distributions with the renormalised marginal
-    weights.  ``verify=True`` additionally evaluates the measurement route
-    and raises VerificationError if the two disagree beyond 10*tol.
+    Every rule takes the Bayes route: the accepted joint-table columns are
+    summed by one series kernel and divided by the acceptance probability.
+    ``verify=True`` additionally evaluates the measurement route (the
+    p2-weighted mixture of the members' thinned photon distributions) and
+    raises VerificationError if the two disagree beyond 10*tol.
     """
     params.require_lossy()
     tol = _validate_tol(tol)
     if rule.kind == "exact":
         return _exact_count_dist(params, rule.threshold, tol, verify)  # type: ignore[arg-type]
-    values = _accepted_values(params, rule, tol)
-    log_p2 = np.array([log_marginal(params, t) for t in values])
-    p2 = np.exp(log_p2)
-    success = _acceptance_prob(params, rule, values, p2)
-    members = [_exact_count_dist(params, t, tol, verify) for t in values]
-    s_max = max(len(m) for m in members)
-    probs = np.zeros(s_max)
-    for frac, member in zip(p2 / success, members):
-        probs[: len(member)] += frac * member.probs
-    probs, tail = _probs_and_tail(probs)
-    return PhotoCountDistribution(probs=probs, tail_bound=tail, tol=tol)
+    return _selected_count_dist(params, rule, *_selection(params, rule, tol), tol, verify)
 
 
 def _exact_count_dist(
     params: ExperimentParams, t: int, tol: float, verify: bool
 ) -> PhotoCountDistribution:
-    t = _validate_count(t, "t")
-    if params.mean_counts == 0.0:
-        if t != 0:
-            raise ConditioningError("t > 0 is impossible in vacuum")
+    """The one-column case of ``_selected_count_dist``; exact rules enter
+    here, so a tracer can tell them apart from set-like selections."""
+    rule = SelectionRule.exact(t)
+    return _selected_count_dist(params, rule, *_selection(params, rule, tol), tol, verify)
+
+
+def _selected_count_dist(
+    params: ExperimentParams,
+    rule: SelectionRule,
+    values: np.ndarray,
+    p2: np.ndarray,
+    success: float,
+    tol: float,
+    verify: bool,
+) -> PhotoCountDistribution:
+    """sum_{t in values} p(s, t) / success, the series truncated at
+    tol*success/4 and the counts at the support of the largest member."""
+    if params.mean_counts == 0.0:  # only t = 0 is possible, and it is accepted
         return PhotoCountDistribution(probs=np.array([1.0]), tail_bound=0.0, tol=tol)
-    log_p2 = log_marginal(params, t)
-    if log_p2 < _LOG_UNDERFLOW:
-        raise ConditioningError(f"trigger outcome t={t} has vanishing probability")
-    s_max = _count_support(params, t, tol)
-    p2 = math.exp(log_p2)
-    col = _column_block(params, t, s_max, tol_mass=0.25 * tol * p2)
-    probs, tail = _probs_and_tail(col / p2)
+    s_max = _count_support(params, int(values[-1]), tol)
+    col = _column_sum(params, values.astype(float), s_max, tol_mass=0.25 * tol * success)
+    probs, tail = _probs_and_tail(col / success)
     bayes = PhotoCountDistribution(probs=probs, tail_bound=tail, tol=tol)
     if verify:
-        state = _build_exact(params, t, tol)
-        other = povm_count_dist(state, s_max=s_max, tol=tol)
-        gap = float(np.abs(other.probs - bayes.probs).max())
+        other = np.zeros(s_max + 1)
+        for t, frac in zip(values.tolist(), p2 / success):
+            state = _build_exact(params, t, tol)
+            other += frac * povm_count_dist(state, s_max=s_max, tol=tol).probs
+        gap = float(np.abs(other - bayes.probs).max())
         if gap > 10.0 * tol:
             raise VerificationError(
-                f"Bayes and measurement routes disagree by {gap:.3e} at t={t}"
+                f"Bayes and measurement routes disagree by {gap:.3e} for {rule.describe()}"
             )
     return bayes

@@ -300,61 +300,87 @@ def joint_prob(params: ExperimentParams, s: int, t: int, tol: float = 1e-12) -> 
     return min(acc * math.exp(scale), 1.0)
 
 
+def _slice_factors(params: ExperimentParams, ks: np.ndarray, lo: int, tol_mass: float):
+    """Scaled rank-one factors of the joint series, one l-chunk at a time.
+
+    The series contributes one rank-one slice c_l * u_l (x) u_l per index l,
+    u_l(k) = B**k * C(l, k), where the slice over the full (s, t) plane has
+    mass A**mu * y**l * C(l+mu-1, l) with y = M/(M + mu*eta) < 1, giving a
+    global geometric stopping bound.  Yields V[l, j] = exp(log u_l(ks[j]) +
+    log c_l / 2) for chunks of l from ``lo`` on, until l has passed every
+    k and the bound on the mass of all later slices is <= tol_mass.  Every
+    V entry squared is bounded by a diagonal table cell, so the scaled
+    factors can never overflow.  Callers set the numpy error state.
+    """
+    mu, eta, m = params.mu, params.eta, params.mean_counts
+    log_a, log_b, log_x = _series_constants(params)
+    log_y = math.log(m) - math.log(m + mu * eta)
+    y = math.exp(log_y)
+    base = mu * log_a
+    k_hi = int(ks.max())
+    log_u_base = ks * log_b  # the C(l, k) part is filled per chunk
+    chunk = 128
+    hard_cap = 10_000 + int(200.0 * (k_hi + mu + 10.0) / max(1e-3, -log_y))
+    while True:
+        ls = np.arange(lo, lo + chunk, dtype=float)
+        log_c = base + ls * log_x + _log_binom_arr(ls + mu - 1.0, ls)
+        valid = ks[None, :] <= ls[:, None]
+        log_u = np.where(
+            valid,
+            log_u_base[None, :] + gammaln(ls + 1.0)[:, None]
+            - gammaln(ks + 1.0)[None, :]
+            - gammaln(np.where(valid, ls[:, None] - ks[None, :], 0.0) + 1.0),
+            -np.inf,
+        )
+        yield np.exp(log_u + 0.5 * log_c[:, None])
+        last = lo + chunk - 1
+        log_mass = base + last * log_y + log_binomial(last + mu - 1.0, last)
+        ratio = y * (last + mu) / (last + 1.0)
+        if last >= k_hi and ratio < 1.0:
+            if math.exp(log_mass) * ratio / (1.0 - ratio) <= tol_mass:
+                return
+        lo += chunk
+        if lo > hard_cap:
+            raise ConvergenceError(f"table series did not converge within l <= {hard_cap}")
+
+
 def _table_block(
     params: ExperimentParams, s_max: int, t_max: int, tol_mass: float
 ) -> np.ndarray:
     """Joint-count table on [0, s_max] x [0, t_max], truncation mass <= tol_mass.
 
-    The series contributes one rank-one slice c_l * u_l (x) u_l per index l,
-    where the slice over the full (s, t) plane has mass
-    A**mu * y**l * C(l+mu-1, l) with y = M/(M + mu*eta) < 1, giving the
-    global geometric stopping bound.  Slices are accumulated in l-chunks as
-    V.T @ V with V[l, s] = exp(log_u + log_c / 2): every V entry squared is
-    bounded by a diagonal table cell, so the scaled factors can never
-    overflow.  The upper triangle is mirrored at the end, making the stored
-    table exactly symmetric.
+    Slices are accumulated as V.T @ V over the factor chunks of
+    ``_slice_factors``.  The upper triangle is mirrored at the end, making
+    the stored table exactly symmetric.
     """
-    mu, eta, m = params.mu, params.eta, params.mean_counts
     size = max(s_max, t_max) + 1
     table = np.zeros((size, size))
-    if m == 0.0:
+    if params.mean_counts == 0.0:
         table[0, 0] = 1.0
         return table[: s_max + 1, : t_max + 1]
-    log_a, log_b, log_x = _series_constants(params)
-    log_y = math.log(m) - math.log(m + mu * eta)
-    y = math.exp(log_y)
-    base = mu * log_a
-    k_hi = size - 1
-    ks = np.arange(size, dtype=float)
-    log_u_base = ks * log_b  # the C(l, s) part is filled per chunk
-    lo = 0
-    chunk = 128
-    hard_cap = 10_000 + int(200.0 * (k_hi + mu + 10.0) / max(1e-3, -log_y))
     with np.errstate(under="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            ls = np.arange(lo, lo + chunk, dtype=float)
-            log_c = base + ls * log_x + _log_binom_arr(ls + mu - 1.0, ls)
-            valid = ks[None, :] <= ls[:, None]
-            log_u = np.where(
-                valid,
-                log_u_base[None, :] + gammaln(ls + 1.0)[:, None]
-                - gammaln(ks + 1.0)[None, :]
-                - gammaln(np.where(valid, ls[:, None] - ks[None, :], 0.0) + 1.0),
-                -np.inf,
-            )
-            factors = np.exp(log_u + 0.5 * log_c[:, None])
+        for factors in _slice_factors(params, np.arange(size, dtype=float), 0, tol_mass):
             table += factors.T @ factors
-            last = lo + chunk - 1
-            log_mass = base + last * log_y + log_binomial(last + mu - 1.0, last)
-            ratio = y * (last + mu) / (last + 1.0)
-            if last >= k_hi and ratio < 1.0:
-                if math.exp(log_mass) * ratio / (1.0 - ratio) <= tol_mass:
-                    break
-            lo += chunk
-            if lo > hard_cap:
-                raise ConvergenceError(f"table series did not converge within l <= {hard_cap}")
     table = np.triu(table) + np.triu(table, 1).T
     return table[: s_max + 1, : t_max + 1]
+
+
+def _column_sum(
+    params: ExperimentParams, columns: np.ndarray, s_max: int, tol_mass: float
+) -> np.ndarray:
+    """Summed joint-table columns sum_{t in columns} p(s, t) for s = 0..s_max,
+    truncation mass <= tol_mass; ``columns`` is ascending and M > 0.
+
+    The same slices as ``_table_block``, restricted to a set of columns: per
+    chunk, (sum_{t in columns} V[l, t]) @ V[l, s].  Slices with l below the
+    smallest column vanish on every column and are skipped.
+    """
+    ks = np.concatenate([np.arange(s_max + 1, dtype=float), columns])
+    col = np.zeros(s_max + 1)
+    with np.errstate(under="ignore", invalid="ignore", divide="ignore"):
+        for factors in _slice_factors(params, ks, int(columns[0]), tol_mass):
+            col += factors[:, s_max + 1 :].sum(axis=1) @ factors[:, : s_max + 1]
+    return col
 
 
 def _nb_quantile(params: ExperimentParams, q: float) -> int:

@@ -235,8 +235,8 @@ def _as_table(dist) -> np.ndarray:
     arr = np.asarray(dist, dtype=float)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ParameterError("fidelity expects 1-D or 2-D probability tables")
-    if np.any(arr < 0.0):
-        raise ParameterError("probability tables must be >= 0")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        raise ParameterError("probability tables must be finite and >= 0")
     return arr
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import JointDistribution
-from .errors import ParameterError
+from .core import _MAX_CELLS_DEFAULT, JointDistribution
+from .errors import ParameterError, TableSizeError
 from .params import ExperimentParams
 
 __all__ = ["ShotRecord", "sample_shot", "sample_run", "histogram", "BLOCK_SIZE"]
@@ -166,7 +166,13 @@ def histogram(record: ShotRecord) -> JointDistribution:
     total are preserved in the table metadata."""
     s = record.s
     t = record.t
-    counts = np.zeros((int(s.max()) + 1, int(t.max()) + 1))
+    shape = (int(s.max()) + 1, int(t.max()) + 1)
+    if shape[0] * shape[1] > _MAX_CELLS_DEFAULT:
+        raise TableSizeError(
+            f"histogram needs {shape[0]} x {shape[1]} cells, "
+            f"exceeding the budget of {_MAX_CELLS_DEFAULT}"
+        )
+    counts = np.zeros(shape)
     np.add.at(counts, (s, t), 1.0)
     n = len(record)
     params = None

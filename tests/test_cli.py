@@ -91,6 +91,24 @@ def test_conditional_state_out(tmp_path):
     assert payload["t"] == 13 and payload["gamma_min"] == 13
 
 
+def test_state_out_rejects_set_rules_before_computing(tmp_path, monkeypatch, capsys):
+    import twinbeam.cli as cli
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("a distribution was computed before the rule check")
+
+    monkeypatch.setattr(cli, "cond_count_dist", no_computation)
+    monkeypatch.setattr(cli, "build_conditional", no_computation)
+    state_path = tmp_path / "state.json"
+    base = ["conditional", "--mu", "25", "--eta", "0.056", "--mean", "17.1",
+            "--state-out", str(state_path)]
+    for flag in ("--above", "--below", "--at-least", "--at-most"):
+        assert cli.main([*base, flag, "12"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--state-out" in err[0]
+    assert not state_path.exists()
+
+
 def test_sample_determinism_across_workers(tmp_path):
     args = ["sample", "--mu", "25", "--eta", "0.056", "--mean", "17.1",
             "--shots", "20000", "--seed", "7"]

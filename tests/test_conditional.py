@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twinbeam import (
     ConditionalMixture,
@@ -11,6 +12,7 @@ from twinbeam import (
     ExperimentParams,
     ParameterError,
     SelectionRule,
+    VerificationError,
     build_conditional,
     cond_count_dist,
     conditional_mean,
@@ -280,3 +282,112 @@ def test_state_normalisation_property(params, t):
     assert isinstance(state, ConditionalState)
     assert state.norm() == pytest.approx(1.0, abs=1e-8)
     assert state.mean_photons() == pytest.approx(state.M_t / params.eta, rel=1e-7, abs=1e-7)
+
+
+# --- set-like selections as weighted joint-table columns -----------------------
+
+SMALL_MU = ExperimentParams(2.3, 0.35, 2.1)
+SELECTIONS = [SelectionRule.below(10), SelectionRule.above(11), SelectionRule.from_set([4, 11, 19])]
+
+
+@pytest.mark.parametrize("rule", SELECTIONS, ids=lambda r: r.kind)
+@pytest.mark.parametrize("point", ["a", "b", "small"])
+def test_selection_matches_scalar_series(point, rule, params_a, params_b):
+    # P(s | t in A) = sum_{t in A} p(s, t) / sum_{t in A} p2(t), from the
+    # scalar joint series and the closed-form marginal
+    params = {"a": params_a, "b": params_b, "small": SMALL_MU}[point]
+    dist = cond_count_dist(params, rule, tol=1e-12)
+    accepted = [t for t in range(1000) if rule.contains(t)]
+    p2 = [marginal(params, t) for t in accepted]
+    p_accept = math.fsum(p2)
+    # members below 1e-14 of the acceptance probability move no cell by 1e-12
+    ts = [t for t, p in zip(accepted, p2) if p > 1e-14 * p_accept]
+    for s in range(0, len(dist), 2):
+        ref = math.fsum(joint_prob(params, s, t, tol=1e-11) for t in ts) / p_accept
+        assert dist.probs[s] == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("rule", [SelectionRule.above(11), SelectionRule.from_set([4, 11, 19])],
+                         ids=lambda r: r.kind)
+def test_verify_flag_on_selections(rule, params_a, params_b):
+    for params in (params_a, params_b):
+        cond_count_dist(params, rule, tol=1e-12, verify=True)
+
+
+def test_verify_flag_detects_a_wrong_kernel(params_b, monkeypatch):
+    import twinbeam.conditional as conditional
+
+    kernel = conditional._column_sum
+
+    def skewed(*args, **kwargs):
+        col = kernel(*args, **kwargs)
+        col[5] *= 1.0 - 1e-6
+        return col
+
+    monkeypatch.setattr(conditional, "_column_sum", skewed)
+    for rule in (SelectionRule.exact(13), SelectionRule.from_set([13, 19])):
+        cond_count_dist(params_b, rule, tol=1e-12)
+        with pytest.raises(VerificationError):
+            cond_count_dist(params_b, rule, tol=1e-12, verify=True)
+
+
+small_params_st = st.builds(
+    ExperimentParams,
+    mu=st.floats(1.0, 4.0),
+    eta=st.floats(0.1, 0.9),
+    mean_counts=st.floats(0.2, 5.0),
+)
+selection_st = st.one_of(
+    st.integers(-1, 8).map(SelectionRule.above),
+    st.integers(1, 10).map(SelectionRule.below),
+    st.sets(st.integers(0, 15), min_size=1, max_size=4).map(
+        lambda v: SelectionRule.from_set(sorted(v))
+    ),
+)
+
+
+@given(params=small_params_st, rule=selection_st)
+@settings(max_examples=40, deadline=None)
+def test_selection_mass_and_mean_property(params, rule):
+    tol = 1e-12
+    mix = build_conditional(params, rule, tol=tol)
+    assume(mix.success_prob > 1e-8)
+    dist = cond_count_dist(params, rule, tol=tol)
+    assert abs(float(dist.probs.sum()) + dist.tail_bound - 1.0) <= 10 * tol
+    assert dist.mean == pytest.approx(mix.mean_counts(), rel=1e-9, abs=1e-9)
+
+
+def test_deep_threshold_acceptance_has_no_cancellation(params_a):
+    # 1 - sum(below) leaves nothing of a 3e-19 upper tail; the mixture must
+    # still sit above the exact-60 state and carry unit total weight
+    deep = build_conditional(params_a, SelectionRule.above(60), tol=1e-12)
+    assert math.fsum(deep.member_weights.tolist()) == pytest.approx(1.0, abs=1e-12)
+    assert deep.mean_counts() > conditional_mean(params_a, 60)
+    mix = build_conditional(params_a, SelectionRule.above(50), tol=1e-12)
+    direct = math.fsum(marginal(params_a, t) for t in range(51, 1000))
+    assert mix.success_prob == pytest.approx(direct, rel=1e-9)
+
+
+@pytest.mark.parametrize("t_star", [15, 18, 22])
+def test_deep_threshold_distribution_returns(t_star):
+    dist = cond_count_dist(SMALL_MU, SelectionRule.above(t_star), tol=1e-12)
+    mix = build_conditional(SMALL_MU, SelectionRule.above(t_star), tol=1e-12)
+    assert dist.mean == pytest.approx(mix.mean_counts(), rel=1e-9)
+
+
+def test_mixture_states_are_built_on_demand(params_a):
+    mix = build_conditional(params_a, SelectionRule.below(4), tol=1e-12)
+    assert "states" not in vars(mix)
+    assert [s.t for s in mix.states] == [0, 1, 2, 3]
+    assert sum(w * s.M_t for w, s in zip(mix.member_weights, mix.states)) == pytest.approx(
+        mix.mean_counts(), rel=1e-12
+    )
+
+
+def test_wide_selection_finishes_quickly():
+    params = ExperimentParams(1.0, 0.2, 50.0)
+    start = time.perf_counter()
+    dist = cond_count_dist(params, SelectionRule.above(1), tol=1e-12)
+    assert time.perf_counter() - start < 10.0
+    mix = build_conditional(params, SelectionRule.above(1), tol=1e-12)
+    assert dist.mean == pytest.approx(mix.mean_counts(), rel=1e-9)

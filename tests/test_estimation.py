@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from twinbeam import (
     DegenerateRecordError,
     ExperimentParams,
+    ParameterError,
     ShotRecord,
     estimate_params,
     fidelity,
@@ -120,6 +121,15 @@ def test_report_fidelity_scores_model_agreement(record_b, params_b, table_b):
 
 def test_fidelity_identity(table_b):
     assert fidelity(table_b, table_b) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fidelity_rejects_non_finite_tables(bad):
+    table = np.array([[0.5, 0.25], [0.25, bad]])
+    with pytest.raises(ParameterError):
+        fidelity(table, table)
+    with pytest.raises(ParameterError):
+        fidelity(np.array([0.5, 0.5]), np.array([bad, 0.5]))
 
 
 def test_fidelity_disjoint_support():

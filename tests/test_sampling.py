@@ -9,6 +9,7 @@ from twinbeam import (
     ParameterError,
     SelectionRule,
     ShotRecord,
+    TableSizeError,
     cond_count_dist,
     fidelity,
     histogram,
@@ -107,6 +108,13 @@ def test_histogram_order_invariance():
     rec = sample_run(params, 5000, seed=9)
     reverse = ShotRecord(shots=rec.shots[::-1].copy())
     assert np.array_equal(histogram(rec).probs, histogram(reverse).probs)
+
+
+def test_histogram_refuses_oversized_table():
+    # two shots with counts of 60000 would need 3.6e9 cells
+    rec = ShotRecord(shots=np.array([[60000, 0], [0, 60000]]))
+    with pytest.raises(TableSizeError):
+        histogram(rec)
 
 
 def test_histogram_counts_metadata(record_b):
