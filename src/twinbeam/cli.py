@@ -41,20 +41,19 @@ def _params(args) -> ExperimentParams:
     return ExperimentParams(args.mu, args.eta, args.mean)
 
 
-def _pick_format(args) -> str:
-    if args.format:
-        return args.format
-    if args.out and str(args.out).lower().endswith(".json"):
-        return "json"
-    return "csv"
+def _save(path, text: str) -> None:
+    print(f"wrote {serialize.write_text(path, text)}", file=sys.stderr)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, obj, extra: dict | None = None) -> None:
+    """Write ``obj`` to --out, or to stdout without one, as --format says,
+    else as the --out extension says, else as CSV."""
+    fmt = args.format or ("json" if str(args.out).lower().endswith(".json") else "csv")
+    text = serialize.format_table(obj, fmt, extra)
     if args.out is None:
         sys.stdout.write(text)
     else:
-        path = serialize.write_text(args.out, text)
-        print(f"wrote {path}", file=sys.stderr)
+        _save(args.out, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,16 +150,10 @@ def _selection_rule(args) -> SelectionRule:
 
 def _run(args) -> int:
     if args.command == "joint":
-        table = joint_table(_params(args), tol=args.tol)
-        text = serialize.format_joint_json(table) if _pick_format(args) == "json" \
-            else serialize.format_joint_csv(table)
-        _emit(args, text)
+        _emit(args, joint_table(_params(args), tol=args.tol))
 
     elif args.command == "marginal":
-        dist = marginal_dist(_params(args), tol=args.tol)
-        text = serialize.format_counts_json(dist) if _pick_format(args) == "json" \
-            else serialize.format_counts_csv(dist)
-        _emit(args, text)
+        _emit(args, marginal_dist(_params(args), tol=args.tol))
 
     elif args.command == "conditional":
         params = _params(args)
@@ -170,27 +163,11 @@ def _run(args) -> int:
         dist = cond_count_dist(params, rule, tol=args.tol, verify=args.verify)
         if args.state_out is not None:
             state = build_conditional(params, rule, tol=args.tol)
-            path = serialize.write_text(args.state_out, serialize.format_state_json(state))
-            print(f"wrote {path}", file=sys.stderr)
-        text = serialize.format_counts_json(dist) if _pick_format(args) == "json" \
-            else serialize.format_counts_csv(dist)
-        _emit(args, text)
+            _save(args.state_out, serialize.format_table(state))
+        _emit(args, dist)
 
     elif args.command == "nongauss":
-        report = nongauss_report(_params(args), args.t, tol=args.tol)
-        payload = {
-            "schema": serialize.SCHEMA,
-            "t": report.t,
-            "params": serialize.params_to_dict(report.params),
-            "S_state": report.S_state,
-            "S_ref": report.S_ref,
-            "delta": report.delta,
-            "delta_R": report.delta_R,
-            "nbar_per_mode": report.nbar_per_mode,
-            "log_base": "e",
-            "tol": args.tol,
-        }
-        _emit(args, json.dumps(payload) + "\n")
+        _emit(args, nongauss_report(_params(args), args.t, tol=args.tol), {"tol": args.tol})
 
     elif args.command == "sweep":
         axis = _AXIS_FLAGS[args.axis]
@@ -200,18 +177,10 @@ def _run(args) -> int:
             value = getattr(args, flag)
             if value is not None:
                 fixed[key] = value
-        rows = sweep(axis, values, fixed, tol=args.tol)
-        if _pick_format(args) == "json":
-            text = serialize.format_sweep_json(rows, {"fixed": fixed, "tol": args.tol})
-        else:
-            text = serialize.format_sweep_csv(rows)
-        _emit(args, text)
+        _emit(args, sweep(axis, values, fixed, tol=args.tol), {"fixed": fixed, "tol": args.tol})
 
     elif args.command == "sample":
-        record = sample_run(_params(args), args.shots, args.seed, workers=args.workers)
-        text = serialize.format_shots_json(record) if _pick_format(args) == "json" \
-            else serialize.format_shots_csv(record)
-        _emit(args, text)
+        _emit(args, sample_run(_params(args), args.shots, args.seed, workers=args.workers))
 
     elif args.command == "estimate":
         record = serialize.read_record(args.input)
@@ -222,17 +191,6 @@ def _run(args) -> int:
             bootstrap_seed=args.bootstrap_seed,
             compute_fidelity=not args.no_fidelity,
         )
-        payload = {
-            "schema": serialize.SCHEMA,
-            "M_hat": report.M_hat,
-            "eta_hat": report.eta_hat,
-            "mu_hat": report.mu_hat,
-            "R_hat": report.R_hat,
-            "fidelity": report.fidelity,
-            "standard_errors": report.standard_errors,
-            "diagnostics": list(report.diagnostics),
-            "n_shots": report.n_shots,
-        }
         se = report.standard_errors
         print(f"shots      : {report.n_shots}")
         print(f"mean counts: {report.M_hat!r} +- {se.get('M', float('nan'))!r}")
@@ -243,8 +201,7 @@ def _run(args) -> int:
         for note in report.diagnostics:
             print(f"note       : {note}")
         if args.out is not None:
-            path = serialize.write_text(args.out, json.dumps(payload) + "\n")
-            print(f"wrote {path}", file=sys.stderr)
+            _save(args.out, serialize.format_table(report))
 
     elif args.command == "fidelity":
         a = serialize.read_table(args.a)

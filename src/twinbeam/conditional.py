@@ -43,17 +43,18 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy import stats
 from scipy.special import betainc
 
 from .core import (
     _FLOAT_SLACK,
     PhotoCountDistribution,
     _column_sum,
+    _first_true,
     _log_binom_arr,
     _log_marginal_arr,
     _mass_sum,
     _nb_quantile,
+    _nb_sf,
     _probs_and_tail,
     _validate_count,
     _validate_tol,
@@ -63,6 +64,7 @@ from .errors import (
     ConditioningError,
     ConvergenceError,
     ParameterError,
+    TableSizeError,
     VerificationError,
 )
 from .params import ExperimentParams
@@ -79,6 +81,10 @@ __all__ = [
 ]
 
 _LOG_UNDERFLOW = math.log(1e-300)
+
+# Photon levels one exact state may hold (a few arrays of this many floats).
+# mu = 1 at eta = 1e-6 needs 2.4e7; tinier efficiencies are refused.
+_MAX_LEVELS = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,17 @@ class SelectionRule:
         if self.kind == "below":
             return t < self.threshold
         return t in self.values  # type: ignore[operator]
+
+    def mask(self, t: np.ndarray) -> np.ndarray:
+        """``contains`` over an array of trigger counts, elementwise."""
+        t = np.asarray(t)
+        if self.kind == "exact":
+            return t == self.threshold
+        if self.kind == "above":
+            return t > self.threshold
+        if self.kind == "below":
+            return t < self.threshold
+        return np.isin(t, self.values)
 
     def describe(self) -> str:
         if self.kind == "set":
@@ -362,6 +379,11 @@ def _build_exact(params: ExperimentParams, t: int, tol: float) -> ConditionalSta
         )
     log_rr, const = _weight_constants(params, t)
     gamma_max = _gamma_support(params, t, tol)
+    if gamma_max - t + 1 > _MAX_LEVELS:
+        raise TableSizeError(
+            f"the t={t} state needs {gamma_max - t + 1} photon levels for tol={tol}, "
+            f"exceeding the budget of {_MAX_LEVELS}"
+        )
     gammas = np.arange(t, gamma_max + 1, dtype=float)
     log_w = _log_binom_arr(gammas, float(t)) + gammas * log_rr + const
     log_deg = _log_binom_arr(gammas + params.mu - 1.0, gammas)
@@ -392,9 +414,7 @@ def _selection(
     """
     thr = rule.threshold
     if rule.kind == "above":
-        # P(t > thr) = I_q(thr + 1, mu) with q = M/(M + mu)
-        q = params.mean_counts / (params.mean_counts + params.mu)
-        success = 1.0 if thr < 0 else float(betainc(thr + 1.0, params.mu, q))
+        success = 1.0 if thr < 0 else float(_nb_sf(params, thr))
         hi = _nb_quantile(params, max(tol * success * 0.1, 1e-300))
         values = np.arange(thr + 1, max(hi, thr + 1) + 1)
     elif rule.kind == "set":
@@ -419,11 +439,11 @@ def _selection(
 # ---------------------------------------------------------------------------
 
 
-def _count_support(params: ExperimentParams, t: int, tol: float) -> int:
-    """Upper count bound for the exact-t conditional distribution: thin the
-    photon support with a binomial tail."""
-    gamma_max = _gamma_support(params, t, tol)
-    s_max = int(stats.binom.isf(tol / 4.0, gamma_max, params.eta))
+def _thinned_support(n: int, eta: float, tol: float) -> int:
+    """Upper count bound for a state whose photon support ends at n: the
+    smallest s >= 4 with P(Bin(n, eta) > s) <= tol/4, the binomial upper
+    tail being I_eta(s + 1, n - s) for s < n and 0 from s = n on."""
+    s_max = _first_true(lambda s: s >= n or betainc(s + 1.0, n - s, eta) <= tol / 4.0, n)
     return max(s_max, 4)
 
 
@@ -438,8 +458,7 @@ def povm_count_dist(
     level = state.level_probs()
     gammas = state.gammas.astype(float)
     if s_max is None:
-        s_max = int(stats.binom.isf(tol / 4.0, int(gammas[-1]), eta))
-        s_max = max(s_max, 4)
+        s_max = _thinned_support(int(gammas[-1]), eta, tol)
     log_eta = math.log(eta)
     log_om = math.log1p(-eta) if eta < 1.0 else -math.inf
     probs = np.zeros(s_max + 1)
@@ -503,7 +522,7 @@ def _selected_count_dist(
     tol*success/4 and the counts at the support of the largest member."""
     if params.mean_counts == 0.0:  # only t = 0 is possible, and it is accepted
         return PhotoCountDistribution(probs=np.array([1.0]), tail_bound=0.0, tol=tol)
-    s_max = _count_support(params, int(values[-1]), tol)
+    s_max = _thinned_support(_gamma_support(params, int(values[-1]), tol), params.eta, tol)
     col = _column_sum(params, values.astype(float), s_max, tol_mass=0.25 * tol * success)
     probs, tail = _probs_and_tail(col / success)
     bayes = PhotoCountDistribution(probs=probs, tail_bound=tail, tol=tol)

@@ -33,9 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats
-from scipy.signal import convolve2d
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from .errors import ConvergenceError, ParameterError, TableSizeError
 from .params import ExperimentParams
@@ -383,18 +381,34 @@ def _column_sum(
     return col
 
 
+def _first_true(pred, hi: int) -> int:
+    """Smallest k >= 0 with pred(k), for a predicate that is false below
+    some k and true from there on; ``hi`` is a first guess, doubled until
+    pred(hi) holds, and the step is found by bisection."""
+    while not pred(hi):
+        hi = 2 * hi + 1
+    lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _nb_sf(params: ExperimentParams, k) -> float:
+    """P(count > k) under the closed-form marginal: the upper tail of the
+    negative binomial, I_q(k + 1, mu) with q = M/(M + mu)."""
+    q = params.mean_counts / (params.mean_counts + params.mu)
+    return betainc(k + 1.0, params.mu, q)
+
+
 def _nb_quantile(params: ExperimentParams, q: float) -> int:
     """Smallest k with P(count > k) <= q under the closed-form marginal."""
     if params.mean_counts == 0.0:
         return 0
-    p_succ = params.mu / (params.mu + params.mean_counts)
-    nb = stats.nbinom(params.mu, p_succ)
-    k = max(0, int(nb.isf(q)))
-    while nb.sf(k) > q:
-        k += 1
-    while k > 0 and nb.sf(k - 1) <= q:
-        k -= 1
-    return k
+    return _first_true(lambda k: _nb_sf(params, k) <= q, 1)
 
 
 def joint_table(
@@ -487,6 +501,8 @@ def brute_force_joint(
     The geometric cutoff must leave a tail below 1e-12 summed over modes;
     ``photon_cutoff=None`` picks the smallest such cutoff.
     """
+    from scipy.signal import convolve2d  # only this oracle needs it; import is slow
+
     if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)):
         raise ParameterError(f"mu must be an integer for direct enumeration, got {mu!r}")
     if not 1 <= mu <= 4:

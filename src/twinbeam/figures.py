@@ -16,7 +16,6 @@ Data only, no rendering: the files feed any plotting front end.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,8 @@ def reproduce(
     """
     if figure_id not in FIGURE_IDS:
         raise ParameterError(f"unknown figure id {figure_id!r}; know {FIGURE_IDS}")
-    outdir = Path(serialize.resolve_output(Path(outdir) / figure_id))
+    # absolute, so that writing below it does not apply $TWINBEAM_OUTDIR twice
+    outdir = serialize.resolve_output(Path(outdir) / figure_id).absolute()
     outdir.mkdir(parents=True, exist_ok=True)
     if figure_id in ("fig2a", "fig2b"):
         manifest = _joint_figure(figure_id, outdir, tol)
@@ -71,122 +71,80 @@ def reproduce(
         manifest = _conditional_figure(figure_id, outdir, seed, tol)
     else:
         manifest = _sweep_figure(outdir, tol)
-    manifest = {
-        "schema": serialize.SCHEMA,
-        "figure": figure_id,
-        "seed": seed,
-        "tol": tol,
-        **manifest,
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
-    return manifest
+    fields = {"figure": figure_id, "seed": seed, "tol": tol, **manifest}
+    serialize.write_text(outdir / "manifest.json", serialize.format_json(fields, indent=1))
+    return {"schema": serialize.SCHEMA, **fields}
+
+
+def _write(outdir: Path, files: list, name: str, text: str, role: str) -> None:
+    """Write one CSV file of a bundle and list it, with its header, in ``files``."""
+    serialize.write_text(outdir / name, text)
+    files.append({"path": name, "role": role, "columns": text[: text.index("\n")]})
 
 
 def _joint_figure(figure_id: str, outdir: Path, tol: float) -> dict:
     from .core import joint_table
 
     params = PARAMS_A if figure_id == "fig2a" else PARAMS_B
-    table = joint_table(params, tol=tol)
-    path = outdir / "joint.csv"
-    serialize.write_joint_csv(path, table)
-    return {
-        "params": serialize.params_to_dict(params),
-        "axes": ["s", "t"],
-        "files": [
-            {"path": path.name, "role": "joint count probability table", "columns": "s,t,p"}
-        ],
-    }
-
-
-def _write_means_csv(path: Path, rows: list[tuple[str, float, float]]) -> None:
-    lines = ["kind,value,mean"]
-    lines += [f"{kind},{value},{repr(float(mean))}" for kind, value, mean in rows]
-    path.write_text("\n".join(lines) + "\n")
+    files: list = []
+    _write(outdir, files, "joint.csv", serialize.format_table(joint_table(params, tol=tol), "csv"),
+           "joint count probability table")
+    return {"params": params.to_dict(), "axes": ["s", "t"], "files": files}
 
 
 def _conditional_figure(figure_id: str, outdir: Path, seed: int, tol: float) -> dict:
     params, exact_ts, above_ts, below_ts = _COND_FIGS[figure_id]
-    files = []
+    files: list = []
 
-    def emit(name: str, dist, role: str) -> None:
-        path = outdir / name
-        serialize.write_counts_csv(path, dist)
-        files.append({"path": path.name, "role": role, "columns": "s,p"})
+    def write(name: str, text: str, role: str) -> None:
+        _write(outdir, files, name, text, role)
 
-    emit("unconditioned_theory.csv", marginal_dist(params, tol), "unconditioned count distribution")
+    write("unconditioned_theory.csv", serialize.format_table(marginal_dist(params, tol), "csv"),
+          "unconditioned count distribution")
     rules = [(f"exact_t{t}", SelectionRule.exact(t)) for t in exact_ts]
     rules += [(f"above_{t}", SelectionRule.above(t)) for t in above_ts]
     rules += [(f"below_{t}", SelectionRule.below(t)) for t in below_ts]
     for name, rule in rules:
-        emit(f"{name}_theory.csv", cond_count_dist(params, rule, tol=tol),
-             f"conditional count distribution, {rule.describe()}")
+        write(f"{name}_theory.csv",
+              serialize.format_table(cond_count_dist(params, rule, tol=tol), "csv"),
+              f"conditional count distribution, {rule.describe()}")
 
-    # Theory mean-vs-selection curves: exact trigger, both threshold families,
-    # and the unconditioned level.
-    mean_rows: list[tuple[str, float, float]] = []
+    # Mean-vs-selection curves: exact trigger, both threshold families, and
+    # the unconditioned level.
     t_hi = 30
-    for t in range(t_hi + 1):
-        mean_rows.append(("exact", t, conditional_mean(params, t)))
-    for t_star in range(0, t_hi):
-        mix = build_conditional(params, SelectionRule.above(t_star), tol)
-        mean_rows.append(("above", t_star, mix.mean_counts()))
-    for t_star in range(1, t_hi + 1):
-        mix = build_conditional(params, SelectionRule.below(t_star), tol)
-        mean_rows.append(("below", t_star, mix.mean_counts()))
+    curves = [SelectionRule.exact(t) for t in range(t_hi + 1)]
+    curves += [SelectionRule.above(t) for t in range(t_hi)]
+    curves += [SelectionRule.below(t) for t in range(1, t_hi + 1)]
+    mean_rows = []
+    for rule in curves:
+        if rule.kind == "exact":
+            mean = conditional_mean(params, rule.threshold)
+        else:
+            mean = build_conditional(params, rule, tol).mean_counts()
+        mean_rows.append((rule.kind, rule.threshold, mean))
     mean_rows.append(("unconditioned", -1, params.mean_counts))
-    _write_means_csv(outdir / "means_theory.csv", mean_rows)
-    files.append({
-        "path": "means_theory.csv",
-        "role": "conditional mean counts vs trigger value / threshold",
-        "columns": "kind,value,mean",
-    })
+    write("means_theory.csv", serialize.format_csv("kind,value,mean", mean_rows),
+          "conditional mean counts vs trigger value / threshold")
 
     # Synthetic experimental overlay: resample the model and post-select.
     record = sample_run(params, _SHOTS, seed=seed)
-    path = outdir / "shots.csv"
-    serialize.write_shots_csv(path, record)
-    files.append({"path": path.name, "role": f"synthetic record, {_SHOTS} shots", "columns": "s,t"})
-
+    write("shots.csv", serialize.format_table(record, "csv"), f"synthetic record, {_SHOTS} shots")
     s_arr, t_arr = record.s, record.t
-    emp_rows = ["kind,value,mean,n_shots"]
-
-    def emp_hist(mask: np.ndarray, name: str, role: str) -> None:
-        selected = s_arr[mask]
-        if selected.size == 0:
-            return
-        probs = np.bincount(selected) / selected.size
-        lines = ["s,p"] + [f"{s},{repr(float(p))}" for s, p in enumerate(probs)]
-        (outdir / name).write_text("\n".join(lines) + "\n")
-        files.append({"path": name, "role": role, "columns": "s,p"})
-
     for name, rule in rules:
-        mask = np.fromiter((rule.contains(int(v)) for v in t_arr), bool, count=len(record))
-        emp_hist(mask, f"{name}_synthetic.csv", f"post-selected synthetic counts, {rule.describe()}")
-    for t in range(t_hi + 1):
-        mask = t_arr == t
-        if mask.sum() >= 20:
-            emp_rows.append(f"exact,{t},{repr(float(s_arr[mask].mean()))},{int(mask.sum())}")
-    for t_star in range(0, t_hi):
-        mask = t_arr > t_star
-        if mask.sum() >= 20:
-            emp_rows.append(f"above,{t_star},{repr(float(s_arr[mask].mean()))},{int(mask.sum())}")
-    for t_star in range(1, t_hi + 1):
-        mask = t_arr < t_star
-        if mask.sum() >= 20:
-            emp_rows.append(f"below,{t_star},{repr(float(s_arr[mask].mean()))},{int(mask.sum())}")
-    (outdir / "means_synthetic.csv").write_text("\n".join(emp_rows) + "\n")
-    files.append({
-        "path": "means_synthetic.csv",
-        "role": "post-selected synthetic mean counts",
-        "columns": "kind,value,mean,n_shots",
-    })
+        selected = s_arr[rule.mask(t_arr)]
+        if selected.size:
+            probs = np.bincount(selected) / selected.size
+            write(f"{name}_synthetic.csv", serialize.format_csv("s,p", enumerate(probs.tolist())),
+                  f"post-selected synthetic counts, {rule.describe()}")
+    emp_rows = []
+    for rule in curves:
+        selected = s_arr[rule.mask(t_arr)]
+        if selected.size >= 20:
+            emp_rows.append((rule.kind, rule.threshold, float(selected.mean()), selected.size))
+    write("means_synthetic.csv", serialize.format_csv("kind,value,mean,n_shots", emp_rows),
+          "post-selected synthetic mean counts")
 
-    return {
-        "params": serialize.params_to_dict(params),
-        "axes": ["s"],
-        "n_shots": _SHOTS,
-        "files": files,
-    }
+    return {"params": params.to_dict(), "axes": ["s"], "n_shots": _SHOTS, "files": files}
 
 
 # (mu, eta) curve families shared by the sweep panels.
@@ -234,25 +192,18 @@ def _sweep_figure(outdir: Path, tol: float) -> dict:
         ),
     }
     for name, (axis, grid, curves) in panels.items():
-        lines = ["mu,eta,t,axis,value,delta,delta_R,S_state,S_ref"]
+        rows = []
         for fixed in curves:
             feasible = _feasible(axis, grid, fixed)
             if not feasible:
                 continue
-            rows = sweep(axis, feasible, fixed, tol=tol)
             label = dict(fixed)
-            for row in rows:
+            for row in sweep(axis, feasible, fixed, tol=tol):
                 label[axis] = row.value
-                lines.append(
-                    f"{label['mu']},{label['eta']},{label['t']},{row.axis},"
-                    f"{repr(row.value)},{repr(row.delta)},{repr(row.delta_R)},"
-                    f"{repr(row.S_state)},{repr(row.S_ref)}"
-                )
-        (outdir / name).write_text("\n".join(lines) + "\n")
-        files.append({
-            "path": name,
-            "role": f"renormalised nonGaussianity vs {axis} (beam mean solved "
-                    "from the conditional-mean relation at each point)",
-            "columns": "mu,eta,t,axis,value,delta,delta_R,S_state,S_ref",
-        })
+                rows.append((label["mu"], label["eta"], label["t"], row.axis, row.value,
+                             row.delta, row.delta_R, row.S_state, row.S_ref))
+        _write(outdir, files, name,
+               serialize.format_csv("mu,eta,t,axis,value,delta,delta_R,S_state,S_ref", rows),
+               f"renormalised nonGaussianity vs {axis} (beam mean solved "
+               "from the conditional-mean relation at each point)")
     return {"axes": ["value"], "files": files}

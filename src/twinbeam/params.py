@@ -10,7 +10,7 @@ photon number, squeezing fraction) is derived and never stored independently.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, asdict, dataclass
 
 from .errors import ParameterError
 
@@ -66,6 +66,17 @@ class ExperimentParams:
         geometric with this ratio."""
         n = self.mean_photons
         return n / (self.mu + n)
+
+    def to_dict(self) -> dict:
+        """The {"mu", "eta", "mean_counts"} mapping that files and records carry."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentParams":
+        """Inverse of ``to_dict``.  A stored eta = 1 (a lossless record) is
+        accepted; a missing key raises KeyError."""
+        return cls(data["mu"], data["eta"], data["mean_counts"],
+                   allow_unit_eta=data["eta"] == 1.0)
 
     def require_lossy(self) -> None:
         """Reject eta = 1; the closed-form path needs 1 - eta > 0."""

@@ -154,7 +154,7 @@ def sample_run(
             parts = list(pool.map(run_block, blocks))
     shots = np.vstack(parts)
     meta = {
-        "params": {"mu": params.mu, "eta": params.eta, "mean_counts": params.mean_counts},
+        "params": params.to_dict(),
         "seed": int(seed),
         "n_shots": n_shots,
     }
@@ -175,13 +175,10 @@ def histogram(record: ShotRecord) -> JointDistribution:
     counts = np.zeros(shape)
     np.add.at(counts, (s, t), 1.0)
     n = len(record)
-    params = None
-    raw = record.meta.get("params")
-    if isinstance(raw, dict) and set(raw) >= {"mu", "eta", "mean_counts"}:
-        params = ExperimentParams(
-            raw["mu"], raw["eta"], raw["mean_counts"],
-            allow_unit_eta=raw["eta"] == 1.0,
-        )
+    try:
+        params = ExperimentParams.from_dict(record.meta["params"])
+    except (KeyError, TypeError):  # no complete params mapping in the record
+        params = None
     return JointDistribution(
         probs=counts / n,
         tail_bound=0.0,

@@ -1,243 +1,204 @@
-"""CSV and JSON wire formats for every table the package produces.
+"""CSV and JSON wire formats for every file the package writes or reads.
 
-All floats are written with Python's shortest round-trip repr, so files are
-locale-independent and re-read bit-exactly.  JSON payloads carry a
-``schema: 1`` version field.
+One table maps each object type to its format; one CSV writer, one JSON
+writer and one CSV reader serve every row of it.
 
-Formats:
-  joint table    CSV header ``s,t,p`` (s-major row order)
-                 JSON {"schema", "params", "tol", "probs", "tail_bound"}
-  count dist     CSV header ``s,p``
-                 JSON {"schema", "probs", "tail_bound", "tol", "mean"}
-  conditional    JSON {"schema", "t", "params", "gamma_min", "weights",
-                 "tail_bound", "M_t"}
-  shot record    CSV header ``s,t`` (one integer pair per row)
-                 JSON {"schema", "meta", "shots"}
-  sweep          CSV header ``axis,value,delta,delta_R,S_state,S_ref``
-                 JSON {"schema", "metadata", "rows"}
+  object                  CSV header                              JSON fields after "schema"
+  JointDistribution       s,t,p (s-major row order)               params, tol, probs, tail_bound
+  PhotoCountDistribution  s,p                                     probs, tail_bound, tol, mean
+  ConditionalState        (JSON only)                             t, params, gamma_min, weights,
+                                                                  tail_bound, M_t
+  ShotRecord              s,t (one integer pair per row)          meta, shots
+  sweep (list[SweepRow])  axis,value,delta,delta_R,S_state,S_ref  metadata {log_base, ...}, rows
+  NonGaussReport          (JSON only)                             t, params, S_state, S_ref, delta,
+                                                                  delta_R, nbar_per_mode, log_base, ...
+  EstimationReport        (JSON only)                             M_hat, eta_hat, mu_hat, R_hat,
+                                                                  fidelity, standard_errors,
+                                                                  diagnostics, n_shots
 
-``format_*`` builds the text; ``write_*`` puts it on disk.
+``...`` marks the fields a caller adds through ``format_table``'s
+``extra``.  CSV cells hold ints in decimal and floats as Python's shortest
+round-trip repr, so files are locale-independent and re-read bit-exactly.
+Every JSON payload opens with ``"schema": 1``; every file ends with a
+newline.  ``read_table`` and ``read_record`` raise ParameterError naming
+the path for a file they cannot read back: missing, not text, a wrong
+header, no rows, a bad cell, invalid JSON or a missing field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+from dataclasses import asdict, astuple
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .conditional import ConditionalState
-from .core import JointDistribution, PhotoCountDistribution
-from .errors import ParameterError
-from .nongauss import SweepRow
-from .params import ExperimentParams
+from .core import _MAX_CELLS_DEFAULT, JointDistribution, PhotoCountDistribution
+from .errors import ParameterError, TableSizeError
+from .estimation import EstimationReport
+from .nongauss import NonGaussReport
 from .sampling import ShotRecord
 
 SCHEMA = 1
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+class _Kind(NamedTuple):
+    header: str | None  # None: the kind has no CSV form
+    rows: Callable | None  # object -> CSV rows
+    fields: Callable  # (object, extra) -> JSON fields after "schema"
 
 
-def params_to_dict(params: ExperimentParams | None) -> dict | None:
-    if params is None:
-        return None
-    return {"mu": params.mu, "eta": params.eta, "mean_counts": params.mean_counts}
+def _joint_rows(table: JointDistribution):
+    n_s, n_t = table.probs.shape
+    s = np.repeat(np.arange(n_s), n_t).tolist()
+    t = np.tile(np.arange(n_t), n_s).tolist()
+    return zip(s, t, table.probs.ravel().tolist())
 
 
-def params_from_dict(data: dict | None) -> ExperimentParams | None:
-    if data is None:
-        return None
-    return ExperimentParams(
-        data["mu"], data["eta"], data["mean_counts"],
-        allow_unit_eta=data["eta"] == 1.0,
-    )
+_KINDS = {
+    JointDistribution: _Kind(
+        "s,t,p", _joint_rows,
+        lambda x, extra: {"params": None if x.params is None else x.params.to_dict(),
+                          "tol": x.tol,
+                          "probs": x.probs.tolist(), "tail_bound": x.tail_bound},
+    ),
+    PhotoCountDistribution: _Kind(
+        "s,p", lambda x: enumerate(x.probs.tolist()),
+        lambda x, extra: {"probs": x.probs.tolist(), "tail_bound": x.tail_bound,
+                          "tol": x.tol, "mean": x.mean},
+    ),
+    ConditionalState: _Kind(
+        None, None,
+        lambda x, extra: {"t": x.t, "params": x.params.to_dict(), "gamma_min": x.gamma_min,
+                          "weights": x.weights.tolist(), "tail_bound": x.tail_bound,
+                          "M_t": x.M_t},
+    ),
+    ShotRecord: _Kind(
+        "s,t", lambda x: x.shots.tolist(),
+        lambda x, extra: {"meta": x.meta, "shots": x.shots.tolist()},
+    ),
+    # a sweep is the list of SweepRow that nongauss.sweep returns
+    list: _Kind(
+        "axis,value,delta,delta_R,S_state,S_ref", lambda x: map(astuple, x),
+        lambda x, extra: {"metadata": {"log_base": "e", **extra}, "rows": list(map(asdict, x))},
+    ),
+    NonGaussReport: _Kind(None, None, lambda x, extra: {**asdict(x), "log_base": "e", **extra}),
+    EstimationReport: _Kind(None, None, lambda x, extra: asdict(x)),
+}
 
 
-# --- joint tables ---------------------------------------------------------
+def format_csv(header: str, rows) -> str:
+    """The header line plus one line per row, cells joined by commas."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def format_joint_csv(table: JointDistribution) -> str:
-    lines = ["s,t,p"]
-    probs = table.probs
-    for s in range(probs.shape[0]):
-        for t in range(probs.shape[1]):
-            lines.append(f"{s},{t},{_fmt(probs[s, t])}")
-    return "\n".join(lines) + "\n"
+def format_json(fields: dict, indent: int | None = None) -> str:
+    """``{"schema": 1, **fields}`` as JSON text ending in a newline."""
+    return json.dumps({"schema": SCHEMA, **fields}, indent=indent) + "\n"
 
 
-def read_joint_csv(path) -> np.ndarray:
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0].strip() != "s,t,p":
-        raise ParameterError(f"{path}: expected header 's,t,p'")
-    triples = [line.split(",") for line in rows[1:]]
-    s_max = max(int(r[0]) for r in triples)
-    t_max = max(int(r[1]) for r in triples)
-    out = np.zeros((s_max + 1, t_max + 1))
-    for r in triples:
-        out[int(r[0]), int(r[1])] = float(r[2])
-    return out
+def format_table(obj, fmt: str = "json", extra: dict | None = None) -> str:
+    """``obj`` as "csv" or "json" text; kinds without a CSV form are JSON
+    whatever ``fmt`` says.  ``extra`` adds fields to a sweep's metadata or to
+    a nonGaussianity report."""
+    kind = _KINDS[type(obj)]
+    if fmt == "csv" and kind.header is not None:
+        return format_csv(kind.header, kind.rows(obj))
+    return format_json(kind.fields(obj, extra or {}))
 
 
-def format_joint_json(table: JointDistribution) -> str:
-    payload = {
-        "schema": SCHEMA,
-        "params": params_to_dict(table.params),
-        "tol": table.tol,
-        "probs": table.probs.tolist(),
-        "tail_bound": table.tail_bound,
-    }
-    return json.dumps(payload) + "\n"
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParameterError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a text file") from exc
 
 
-def read_joint_json(path) -> JointDistribution:
-    payload = json.loads(Path(path).read_text())
-    probs = np.asarray(payload["probs"], dtype=float)
-    symmetric = probs.shape[0] == probs.shape[1] and np.array_equal(probs, probs.T)
-    return JointDistribution(
-        probs=probs,
-        tail_bound=payload["tail_bound"],
-        params=params_from_dict(payload.get("params")),
-        tol=payload["tol"],
-        symmetric=symmetric,
-    )
+def _read_json(path, key: str):
+    """A JSON file's top-level object, which must hold ``key``."""
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict) or key not in payload:
+        raise ParameterError(f"{path}: no {key!r} field")
+    return payload
 
 
-# --- one-beam count distributions -----------------------------------------
+def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Integer count columns as an (n, k) array and the float column ``p``
+    (None when the header has none) of a CSV file whose header is one of
+    ``headers``."""
+    lines = _read_text(path).strip().splitlines()
+    header = lines[0].strip() if lines else ""
+    if header not in headers:
+        raise ParameterError(f"{path}: header {header!r} is not one of {headers}")
+    if len(lines) == 1:
+        raise ParameterError(f"{path}: no rows under the header {header!r}")
+    names = header.split(",")
+    cells = [line.split(",") for line in lines[1:]]
+    if any(len(row) != len(names) for row in cells):
+        raise ParameterError(f"{path}: every row needs {len(names)} cells ({header})")
+    columns = list(zip(*cells))
+    n_counts = len(names) - (names[-1] == "p")
+    try:
+        counts = np.array([list(map(int, col)) for col in columns[:n_counts]], dtype=np.int64).T
+        values = np.array(list(map(float, columns[-1]))) if n_counts < len(names) else None
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError(f"{path}: bad cell ({exc})") from exc
+    if counts.min() < 0:
+        raise ParameterError(f"{path}: counts must be >= 0")
+    return counts, values
 
 
-def format_counts_csv(dist: PhotoCountDistribution) -> str:
-    lines = ["s,p"]
-    lines += [f"{s},{_fmt(p)}" for s, p in enumerate(dist.probs)]
-    return "\n".join(lines) + "\n"
-
-
-def read_counts_csv(path) -> np.ndarray:
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0].strip() != "s,p":
-        raise ParameterError(f"{path}: expected header 's,p'")
-    pairs = [line.split(",") for line in rows[1:]]
-    out = np.zeros(max(int(r[0]) for r in pairs) + 1)
-    for r in pairs:
-        out[int(r[0])] = float(r[1])
-    return out
-
-
-def format_counts_json(dist: PhotoCountDistribution) -> str:
-    payload = {
-        "schema": SCHEMA,
-        "probs": dist.probs.tolist(),
-        "tail_bound": dist.tail_bound,
-        "tol": dist.tol,
-        "mean": dist.mean,
-    }
-    return json.dumps(payload) + "\n"
-
-
-# --- conditional states ----------------------------------------------------
-
-
-def format_state_json(state: ConditionalState) -> str:
-    payload = {
-        "schema": SCHEMA,
-        "t": state.t,
-        "params": params_to_dict(state.params),
-        "gamma_min": state.gamma_min,
-        "weights": state.weights.tolist(),
-        "tail_bound": state.tail_bound,
-        "M_t": state.M_t,
-    }
-    return json.dumps(payload) + "\n"
-
-
-# --- shot records -----------------------------------------------------------
-
-
-def format_shots_csv(record: ShotRecord) -> str:
-    lines = ["s,t"]
-    lines += [f"{s},{t}" for s, t in record.shots]
-    return "\n".join(lines) + "\n"
-
-
-def read_shots_csv(path) -> ShotRecord:
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0].strip() != "s,t":
-        raise ParameterError(f"{path}: expected header 's,t'")
-    shots = np.array(
-        [[int(v) for v in line.split(",")] for line in rows[1:]], dtype=np.int64
-    )
-    return ShotRecord(shots=shots, meta={"source": str(path)})
-
-
-def format_shots_json(record: ShotRecord) -> str:
-    payload = {
-        "schema": SCHEMA,
-        "meta": record.meta,
-        "shots": record.shots.tolist(),
-    }
-    return json.dumps(payload) + "\n"
-
-
-def read_shots_json(path) -> ShotRecord:
-    payload = json.loads(Path(path).read_text())
-    return ShotRecord(
-        shots=np.asarray(payload["shots"], dtype=np.int64),
-        meta=payload.get("meta", {}),
-    )
-
-
-def read_record(path) -> ShotRecord:
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        return read_shots_json(path)
-    return read_shots_csv(path)
-
-
-# --- sweeps ------------------------------------------------------------------
-
-
-def format_sweep_csv(rows: list[SweepRow]) -> str:
-    lines = ["axis,value,delta,delta_R,S_state,S_ref"]
-    for r in rows:
-        lines.append(
-            f"{r.axis},{_fmt(r.value)},{_fmt(r.delta)},{_fmt(r.delta_R)},"
-            f"{_fmt(r.S_state)},{_fmt(r.S_ref)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def format_sweep_json(rows: list[SweepRow], metadata: dict) -> str:
-    payload = {
-        "schema": SCHEMA,
-        "metadata": {"log_base": "e", **metadata},
-        "rows": [
-            {
-                "axis": r.axis, "value": r.value, "delta": r.delta,
-                "delta_R": r.delta_R, "S_state": r.S_state, "S_ref": r.S_ref,
-            }
-            for r in rows
-        ],
-    }
-    return json.dumps(payload) + "\n"
-
-
-# --- generic table reader (for fidelity between files) ----------------------
+def _is_json(path) -> bool:
+    return Path(path).suffix.lower() == ".json"
 
 
 def read_table(path) -> np.ndarray:
     """Load a probability table of either dimensionality from CSV or JSON."""
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        payload = json.loads(path.read_text())
-        return np.asarray(payload["probs"], dtype=float)
-    header = path.read_text().lstrip().splitlines()[0].strip()
-    if header == "s,t,p":
-        return read_joint_csv(path)
-    if header == "s,p":
-        return read_counts_csv(path)
-    raise ParameterError(f"{path}: unrecognised table header {header!r}")
+    if _is_json(path):
+        probs = _read_json(path, "probs")["probs"]
+        try:
+            return np.asarray(probs, dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ParameterError(f"{path}: 'probs' is not a numeric table") from exc
+    headers = (_KINDS[JointDistribution].header, _KINDS[PhotoCountDistribution].header)
+    counts, values = _read_csv(path, headers)
+    shape = tuple((counts.max(axis=0) + 1).tolist())
+    if math.prod(shape) > _MAX_CELLS_DEFAULT:
+        raise TableSizeError(
+            f"{path}: a {shape} table exceeds the budget of {_MAX_CELLS_DEFAULT} cells"
+        )
+    table = np.zeros(shape)
+    table[tuple(counts.T)] = values
+    return table
+
+
+def read_record(path) -> ShotRecord:
+    """Load a shot record from CSV (``s,t`` rows) or JSON (shots and meta)."""
+    if _is_json(path):
+        payload = _read_json(path, "shots")
+        try:
+            # floats, so that ShotRecord rejects a non-integer count instead
+            # of truncating it
+            shots = np.asarray(payload["shots"], dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ParameterError(f"{path}: 'shots' is not a numeric array") from exc
+        meta = payload.get("meta", {})
+    else:
+        shots, _ = _read_csv(path, (_KINDS[ShotRecord].header,))
+        meta = {"source": str(path)}
+    try:
+        return ShotRecord(shots=shots, meta=meta)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def resolve_output(path, default_dir_env: str = "TWINBEAM_OUTDIR"):
@@ -256,41 +217,3 @@ def write_text(path, text: str) -> Path:
     path = resolve_output(path)
     path.write_text(text)
     return path
-
-
-# Thin file wrappers.
-
-def write_joint_csv(path, table):
-    return write_text(path, format_joint_csv(table))
-
-
-def write_joint_json(path, table):
-    return write_text(path, format_joint_json(table))
-
-
-def write_counts_csv(path, dist):
-    return write_text(path, format_counts_csv(dist))
-
-
-def write_counts_json(path, dist):
-    return write_text(path, format_counts_json(dist))
-
-
-def write_state_json(path, state):
-    return write_text(path, format_state_json(state))
-
-
-def write_shots_csv(path, record):
-    return write_text(path, format_shots_csv(record))
-
-
-def write_shots_json(path, record):
-    return write_text(path, format_shots_json(record))
-
-
-def write_sweep_csv(path, rows):
-    return write_text(path, format_sweep_csv(rows))
-
-
-def write_sweep_json(path, rows, metadata):
-    return write_text(path, format_sweep_json(rows, metadata))

@@ -109,6 +109,26 @@ def test_state_out_rejects_set_rules_before_computing(tmp_path, monkeypatch, cap
     assert not state_path.exists()
 
 
+def test_malformed_inputs_give_one_error_line(tmp_path, capsys):
+    import twinbeam.cli as cli
+
+    table = tmp_path / "table.csv"
+    assert cli.main(["joint", "--mu", "2", "--eta", "0.5", "--mean", "1",
+                     "--tol", "1e-6", "--out", str(table)]) == 0
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("s,t,p\n")
+    bad_cell = tmp_path / "bad_cell.csv"
+    bad_cell.write_text("s,t\n" + "".join(f"{i % 7},{i % 5}\n" for i in range(150)) + "3,2.5\n")
+    capsys.readouterr()
+    for argv, path in ((["fidelity", "--a", str(header_only), "--b", str(table)], header_only),
+                       (["estimate", "--input", str(bad_cell)], bad_cell),
+                       (["estimate", "--input", str(tmp_path / "missing.csv")],
+                        tmp_path / "missing.csv")):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+
 def test_sample_determinism_across_workers(tmp_path):
     args = ["sample", "--mu", "25", "--eta", "0.056", "--mean", "17.1",
             "--shots", "20000", "--seed", "7"]

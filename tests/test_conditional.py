@@ -287,7 +287,8 @@ def test_state_normalisation_property(params, t):
 # --- set-like selections as weighted joint-table columns -----------------------
 
 SMALL_MU = ExperimentParams(2.3, 0.35, 2.1)
-SELECTIONS = [SelectionRule.below(10), SelectionRule.above(11), SelectionRule.from_set([4, 11, 19])]
+SELECTIONS = [SelectionRule.below(10), SelectionRule.above(11), SelectionRule.from_set([4, 11, 19]),
+              SelectionRule.exact(11)]
 
 
 @pytest.mark.parametrize("rule", SELECTIONS, ids=lambda r: r.kind)
@@ -298,6 +299,7 @@ def test_selection_matches_scalar_series(point, rule, params_a, params_b):
     params = {"a": params_a, "b": params_b, "small": SMALL_MU}[point]
     dist = cond_count_dist(params, rule, tol=1e-12)
     accepted = [t for t in range(1000) if rule.contains(t)]
+    assert np.array_equal(np.flatnonzero(rule.mask(np.arange(1000))), accepted)
     p2 = [marginal(params, t) for t in accepted]
     p_accept = math.fsum(p2)
     # members below 1e-14 of the acceptance probability move no cell by 1e-12

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +180,33 @@ def test_joint_table_cell_budget():
     with pytest.raises(TableSizeError) as err:
         joint_table(ExperimentParams(1.0, 0.5, 20.0), tol=1e-12, max_cells=100)
     assert "cells" in str(err.value)
+
+
+def test_quantiles_match_scipy_stats():
+    from scipy import stats  # the oracle; the package keeps it off its import path
+
+    from twinbeam.conditional import _thinned_support
+    from twinbeam.core import _nb_quantile
+
+    for mu in (1.0, 2.3, 25.0, 197.0, 1000.0):
+        for m in (0.1, 1.5, 13.4, 80.0):
+            nb = stats.nbinom(mu, mu / (mu + m))
+            for q in (1e-15, 2.5e-13, 1e-10, 1e-8):
+                k = _nb_quantile(ExperimentParams(mu, 0.3, m), q)
+                assert nb.sf(k) <= q and (k == 0 or nb.sf(k - 1) > q)
+    for n in (0, 1, 10, 57, 1000, 10**5):
+        for eta in (1e-6, 0.056, 0.3, 0.9):
+            for tol in (1e-14, 1e-12, 1e-10, 1e-6):
+                expected = max(int(stats.binom.isf(tol / 4.0, n, eta)), 4)
+                assert _thinned_support(n, eta, tol) == expected
+
+
+def test_import_leaves_slow_scipy_modules_out():
+    code = ("import sys, twinbeam; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_noise_reduction_identity_from_table(table_a, table_b):

@@ -13,6 +13,14 @@ def test_unknown_figure_rejected(tmp_path):
         reproduce("fig7", tmp_path)
 
 
+def test_relative_outdir_env_keeps_bundle_together(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TWINBEAM_OUTDIR", "rel")
+    reproduce("fig2a", "figs", tol=1e-6)
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*"))
+    assert written == ["rel/figs/fig2a/joint.csv", "rel/figs/fig2a/manifest.json"]
+
+
 def test_feasibility_clipping():
     # the single-mode, high-efficiency curve cannot reach large conditional
     # means: the inversion denominator t + mu*(1-eta) - M_t closes at 5.8

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from twinbeam import (
     InfeasibleConstraintError,
     ParameterError,
     SelectionRule,
+    TableSizeError,
     TailBoundError,
     build_conditional,
     entropy_conditional,
@@ -181,6 +183,14 @@ def test_report_trigger_monotonicity():
 def test_report_near_zero_efficiency_baseline():
     rep = nongauss_report(ExperimentParams(197.0, 1e-6, 0.5), 5)
     assert rep.delta_R <= 1e-3
+
+
+def test_photon_support_budget_is_checked_before_allocating():
+    # the t = 0 state would need 2.5e9 photon levels (about 19 GiB)
+    start = time.perf_counter()
+    with pytest.raises(TableSizeError):
+        nongauss_report(ExperimentParams(1.0, 1e-9, 0.1), 0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_delta_r_is_base_invariant(params_b):

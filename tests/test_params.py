@@ -12,6 +12,16 @@ def test_derived_quantities():
     assert p.lambda_sq == pytest.approx(2.0 / 4.0)
 
 
+def test_dict_round_trip():
+    p = ExperimentParams(2.0, 0.3, 1.5)
+    assert p.to_dict() == {"mu": 2.0, "eta": 0.3, "mean_counts": 1.5}
+    assert ExperimentParams.from_dict(p.to_dict()) == p
+    # a lossless record stores eta = 1, which from_dict lets through
+    assert ExperimentParams.from_dict({"mu": 1, "eta": 1.0, "mean_counts": 2}).eta == 1.0
+    with pytest.raises(KeyError):
+        ExperimentParams.from_dict({"mu": 1.0, "eta": 0.5})
+
+
 def test_vacuum():
     p = ExperimentParams(1.0, 0.5, 0.0)
     assert p.mean_photons == 0.0

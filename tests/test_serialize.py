@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,52 +11,56 @@ from twinbeam import (
     ExperimentParams,
     ParameterError,
     SelectionRule,
+    TableSizeError,
     build_conditional,
+    histogram,
     marginal_dist,
     sample_run,
 )
-from twinbeam import serialize
+from twinbeam import cli, serialize
+
+
+def _write(path, obj, fmt="json"):
+    return serialize.write_text(path, serialize.format_table(obj, fmt))
 
 
 def test_joint_csv_round_trip(tmp_path, table_b):
-    path = tmp_path / "joint.csv"
-    serialize.write_joint_csv(path, table_b)
-    back = serialize.read_joint_csv(path)
+    path = _write(tmp_path / "joint.csv", table_b, "csv")
+    back = serialize.read_table(path)
     assert np.array_equal(back, table_b.probs)
 
 
 def test_joint_json_round_trip(tmp_path, table_b, params_b):
-    path = tmp_path / "joint.json"
-    serialize.write_joint_json(path, table_b)
-    back = serialize.read_joint_json(path)
-    assert np.array_equal(back.probs, table_b.probs)
-    assert back.tail_bound == table_b.tail_bound
-    assert back.tol == table_b.tol
-    assert back.params == params_b
+    path = _write(tmp_path / "joint.json", table_b)
+    assert np.array_equal(serialize.read_table(path), table_b.probs)
+    payload = json.loads(path.read_text())
+    assert payload["tail_bound"] == table_b.tail_bound
+    assert payload["tol"] == table_b.tol
+    assert ExperimentParams.from_dict(payload["params"]) == params_b
 
 
 def test_counts_csv_round_trip(tmp_path, params_b):
     dist = marginal_dist(params_b, tol=1e-10)
-    path = tmp_path / "counts.csv"
-    serialize.write_counts_csv(path, dist)
-    back = serialize.read_counts_csv(path)
+    path = _write(tmp_path / "counts.csv", dist, "csv")
+    back = serialize.read_table(path)
     assert np.array_equal(back, dist.probs)
 
 
 def test_counts_json_schema(tmp_path, params_b):
     dist = marginal_dist(params_b, tol=1e-10)
-    path = tmp_path / "counts.json"
-    serialize.write_counts_json(path, dist)
+    path = _write(tmp_path / "counts.json", dist)
     payload = json.loads(path.read_text())
     assert payload["schema"] == 1
     assert payload["mean"] == dist.mean
     assert payload["probs"] == dist.probs.tolist()
+    assert np.array_equal(serialize.read_table(path), dist.probs)
 
 
 def test_state_json_schema(tmp_path, params_b):
     state = build_conditional(params_b, SelectionRule.exact(4), tol=1e-10)
-    path = tmp_path / "state.json"
-    serialize.write_state_json(path, state)
+    # a state has no CSV form, so "csv" still gives its JSON
+    assert serialize.format_table(state, "csv") == serialize.format_table(state)
+    path = _write(tmp_path / "state.json", state)
     payload = json.loads(path.read_text())
     assert set(payload) == {"schema", "t", "params", "gamma_min", "weights",
                             "tail_bound", "M_t"}
@@ -64,28 +72,27 @@ def test_state_json_schema(tmp_path, params_b):
 
 def test_shots_csv_round_trip(tmp_path):
     rec = sample_run(ExperimentParams(2.0, 0.4, 1.5), 500, seed=8)
-    path = tmp_path / "shots.csv"
-    serialize.write_shots_csv(path, rec)
-    back = serialize.read_shots_csv(path)
+    path = _write(tmp_path / "shots.csv", rec, "csv")
+    back = serialize.read_record(path)
     assert np.array_equal(back.shots, rec.shots)
+    assert back.meta == {"source": str(path)}
     assert path.read_text().splitlines()[0] == "s,t"
 
 
 def test_shots_json_round_trip(tmp_path):
     rec = sample_run(ExperimentParams(2.0, 0.4, 1.5), 200, seed=8)
-    path = tmp_path / "shots.json"
-    serialize.write_shots_json(path, rec)
-    back = serialize.read_shots_json(path)
+    path = _write(tmp_path / "shots.json", rec)
+    back = serialize.read_record(path)
     assert np.array_equal(back.shots, rec.shots)
     assert back.meta == rec.meta
+    # the record's params survive the round trip into its histogram
+    assert histogram(back).params == ExperimentParams(2.0, 0.4, 1.5)
 
 
 def test_read_table_dispatch(tmp_path, table_b, params_b):
-    joint_path = tmp_path / "a.csv"
-    serialize.write_joint_csv(joint_path, table_b)
+    joint_path = _write(tmp_path / "a.csv", table_b, "csv")
     assert serialize.read_table(joint_path).ndim == 2
-    counts_path = tmp_path / "b.csv"
-    serialize.write_counts_csv(counts_path, marginal_dist(params_b, tol=1e-8))
+    counts_path = _write(tmp_path / "b.csv", marginal_dist(params_b, tol=1e-8), "csv")
     assert serialize.read_table(counts_path).ndim == 1
     bad = tmp_path / "c.csv"
     bad.write_text("x,y\n1,2\n")
@@ -97,8 +104,7 @@ def test_sweep_csv_header(tmp_path):
     from twinbeam import sweep
 
     rows = sweep("eta", [0.06, 0.1], {"M_t": 4.0, "t": 5, "mu": 25.0}, tol=1e-10)
-    path = tmp_path / "sweep.csv"
-    serialize.write_sweep_csv(path, rows)
+    path = _write(tmp_path / "sweep.csv", rows, "csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "axis,value,delta,delta_R,S_state,S_ref"
     assert lines[1].startswith("eta,0.06,")
@@ -112,3 +118,83 @@ def test_output_dir_env(tmp_path, monkeypatch):
     out = serialize.write_text("file.txt", "hello\n")
     assert out == tmp_path / "sub" / "file.txt"
     assert out.read_text() == "hello\n"
+
+
+# SHA-256 of the stdout of each subcommand, as the per-kind writers that the
+# one codec replaced printed it; the codec must keep every byte.
+_SMALL = ["--mu", "1", "--eta", "0.5", "--mean", "0.5"]
+_GOLDEN_ARGV = {
+    "joint": ["joint", *_SMALL, "--tol", "1e-2"],
+    "marginal": ["marginal", *_SMALL, "--tol", "1e-3"],
+    "conditional": ["conditional", *_SMALL, "--t", "1", "--tol", "1e-3"],
+    "sample": ["sample", *_SMALL, "--shots", "4", "--seed", "1"],
+    "sweep": ["sweep", "--axis", "eta", "--values", "0.1,0.2", "--mt", "4", "--t", "5",
+              "--mu", "25", "--tol", "1e-10"],
+}
+_GOLDEN_SHA256 = {
+    ("joint", "csv"): "fcf1a209cf5b5b014832feb96c1861315f23b805f38eb9ce87c65c075aae16b4",
+    ("joint", "json"): "eda9d3be33eadfdc4cfdc8bc9098a24e897ae7f15e9589709c2ca4f2f0efa78c",
+    ("marginal", "csv"): "a2b9de38b70b2aa92e823a07b7116657cf5a27ae67b37ecbc1e30721cb678b92",
+    ("marginal", "json"): "88ed8b307cb1cef4bc348298bc894590b6d12d07da2c12af685beba9bb2a7f1b",
+    ("conditional", "csv"): "fec8a504693e2c5344ec4e7ff52e51f0a1382796f421ad9c044c2abf1870d378",
+    ("conditional", "json"): "79ac67e14ea53d9e6c0d8962de77ab01a25af0c5a9954c3e140468cd50328142",
+    ("sample", "csv"): "18b39558e658d759384372ccbf891500c27df5399cd75d6b748d012ee6bd8f15",
+    ("sample", "json"): "40577395ebb04131eaa83a1b26030f44f2491bbc23e51a6b87ce74907278de5b",
+    ("sweep", "csv"): "7b00851aa99521e514fccd2f685f34ba91d1953441a92408fa1da015746ba35d",
+    ("sweep", "json"): "bda289eb422b7e1d8bbdb32812deb26149e14e03d246e26e897c4601510f0d19",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command,fmt", sorted(_GOLDEN_SHA256))
+def test_cli_output_bytes_are_pinned(command, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*_GOLDEN_ARGV[command], "--format", fmt]) == 0
+    assert _sha256(out.getvalue()) == _GOLDEN_SHA256[(command, fmt)]
+
+
+def test_reproduce_bytes_are_pinned(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["reproduce", "fig2a", "--outdir", str(tmp_path), "--tol", "1e-6"]) == 0
+    got = {p.name: _sha256(p.read_text()) for p in (tmp_path / "fig2a").iterdir()}
+    assert got == {
+        "joint.csv": "08ff481a0487c25854f93294b94f100f832bbcb217d86a7c72fdc481ae38118d",
+        "manifest.json": "3517955b5ea20dbd92f20e5adbb15711e93ccb37f83eab2f53fe4e31426c6d68",
+    }
+
+
+MALFORMED = {
+    "missing.csv": None,
+    "header_only.csv": "s,t,p\n",
+    "empty.csv": "",
+    "non_integer.csv": "s,t\n1,2\n3,2.5\n",
+    "short_row.csv": "s,t,p\n0,0,0.5\n1,0\n",
+    "bad_value.csv": "s,p\n0,x\n",
+    "negative.csv": "s,t,p\n-1,0,0.5\n",
+    "broken.json": '{"probs": [[1, 2',
+    "no_field.json": '{"schema": 1}\n',
+    "not_object.json": "[1, 2]\n",
+    "ragged.json": '{"probs": [[1], [1, 2]], "shots": [[1], [1, 2]]}\n',
+    "fractional.json": '{"probs": "x", "shots": [[1, 2.5]]}\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("reader", ["read_table", "read_record"])
+def test_malformed_files_name_their_path(tmp_path, name, reader):
+    path = tmp_path / name
+    if MALFORMED[name] is not None:
+        path.write_text(MALFORMED[name])
+    with pytest.raises(ParameterError, match=re.escape(str(path))):
+        getattr(serialize, reader)(path)
+
+
+def test_sparse_table_file_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("s,t,p\n100000,100000,0.5\n")
+    with pytest.raises(TableSizeError):
+        serialize.read_table(path)
