@@ -306,8 +306,9 @@ def _slice_factors(params: ExperimentParams, ks: np.ndarray, lo: int, tol_mass: 
     mass A**mu * y**l * C(l+mu-1, l) with y = M/(M + mu*eta) < 1, giving a
     global geometric stopping bound.  Yields V[l, j] = exp(log u_l(ks[j]) +
     log c_l / 2) for chunks of l from ``lo`` on, until l has passed every
-    k and the bound on the mass of all later slices is <= tol_mass.  Every
-    V entry squared is bounded by a diagonal table cell, so the scaled
+    k and the bound on the mass of all later slices is <= tol_mass; raises
+    TableSizeError up front when that cannot happen within the level cap.
+    Every V entry squared is bounded by a diagonal table cell, so the scaled
     factors can never overflow.  Callers set the numpy error state.
     """
     mu, eta, m = params.mu, params.eta, params.mean_counts
@@ -319,6 +320,16 @@ def _slice_factors(params: ExperimentParams, ks: np.ndarray, lo: int, tol_mass: 
     log_u_base = ks * log_b  # the C(l, k) part is filled per chunk
     chunk = 128
     hard_cap = 10_000 + int(200.0 * (k_hi + mu + 10.0) / max(1e-3, -log_y))
+    # The slice masses are the NegBin(mu, 1 - y) law of the photon total, so
+    # I_y(l + 1, mu) is the exact mass beyond slice l.  Every chunk the loop
+    # can reach ends before slice hard_cap + chunk, and the stopping bound is
+    # at least the exact mass beyond it: past the budget, the loop cannot stop.
+    beyond_cap = float(betainc(hard_cap + chunk, mu, y))
+    if beyond_cap > tol_mass:
+        raise TableSizeError(
+            f"table series needs more than {hard_cap + chunk} photon levels: mass "
+            f"{beyond_cap:.3g} lies beyond them, above the budget of {tol_mass:.3g}"
+        )
     while True:
         ls = np.arange(lo, lo + chunk, dtype=float)
         log_c = base + ls * log_x + _log_binom_arr(ls + mu - 1.0, ls)

@@ -17,7 +17,7 @@ class ConvergenceError(TwinbeamError):
 
 
 class TableSizeError(TwinbeamError):
-    """A requested table exceeds the configured cell budget."""
+    """A requested table exceeds the configured cell or series-level budget."""
 
 
 class ConditioningError(TwinbeamError):

@@ -11,10 +11,12 @@ The estimators mirror how the experiment is analysed:
 
 Fits are sequential (eta from R first, then mu and M from the marginal).
 All standard errors are nonparametric bootstrap over whole shots, which
-preserves the arm-arm correlation; resampling is deterministic given the
-bootstrap seed.  Agreement between a model table and an empirical histogram
-is the Bhattacharyya coefficient sum_{cells} sqrt(p*q) on the zero-padded
-union of their supports, with each table normalised by its total mass.
+preserves the arm-arm correlation; a resample is drawn as multinomial counts
+of the record's distinct (s, t) cells, the same law as drawing shot indices,
+and is deterministic given the bootstrap seed.  Agreement between a model
+table and an empirical histogram is the Bhattacharyya coefficient
+sum_{cells} sqrt(p*q) on the zero-padded union of their supports, with each
+table normalised by its total mass.
 """
 
 from __future__ import annotations
@@ -174,34 +176,28 @@ def _bootstrap_errors(
     seed: int,
     diagnostics: list[str],
 ) -> dict:
+    """Bootstrap standard errors: each resample's statistics are weighted
+    sums over the distinct (s, t) cells, with Multinomial(n, counts / n)
+    weights, centred on the record means before squaring."""
     if n_bootstrap == 0:
         return {}
     n = s.size
-    rng = np.random.default_rng(seed)
-    stats = {"M": [], "R": [], "eta": [], "mu": []}
-    chunk = max(1, min(n_bootstrap, 50_000_000 // max(n, 1)))
-    done = 0
-    while done < n_bootstrap:
-        batch = min(chunk, n_bootstrap - done)
-        idx = rng.integers(0, n, size=(batch, n))
-        bs = s[idx]
-        bt = t[idx]
-        mean_sum = np.mean(bs + bt, axis=1)
-        diff_var = np.var(bs - bt, axis=1, ddof=1)
-        m = 0.5 * mean_sum
-        r = diff_var / mean_sum
-        var = 0.5 * (np.var(bs, axis=1, ddof=1) + np.var(bt, axis=1, ddof=1))
-        excess = var - m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu = np.where(excess > 0.0, m**2 / excess, np.inf)
-        stats["M"].append(m)
-        stats["R"].append(r)
-        stats["eta"].append(1.0 - r)
-        stats["mu"].append(mu)
-        done += batch
+    cells, counts = np.unique(np.column_stack([s, t]), axis=0, return_counts=True)
+    weights = np.random.default_rng(seed).multinomial(n, counts / n, size=n_bootstrap)
+    # per-cell deviations of s, t and s - t from the record means
+    dev = np.column_stack([cells, cells[:, 0] - cells[:, 1]])
+    record_mean = counts @ dev / n
+    dev -= record_mean
+    shift = weights @ dev / n  # resample mean minus record mean
+    var = (weights @ dev**2 - n * shift**2) / (n - 1)
+    m = 0.5 * (record_mean[0] + record_mean[1] + shift[:, 0] + shift[:, 1])
+    excess = 0.5 * (var[:, 0] + var[:, 1]) - m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = var[:, 2] / (2.0 * m)
+        mu = np.where(excess > 0.0, m**2 / excess, np.inf)
+    stats = {"M": m, "R": r, "eta": 1.0 - r, "mu": mu}
     out = {}
-    for key, parts in stats.items():
-        values = np.concatenate(parts)
+    for key, values in stats.items():
         finite = values[np.isfinite(values)]
         if key == "mu" and finite.size < values.size:
             diagnostics.append(

@@ -1,24 +1,24 @@
 """Monte Carlo generation of per-pulse count pairs from the physical model.
 
-Each pulse draws, for every one of the mu modes, a photon number from the
-geometric per-mode law (mean N/mu, both arms carry the same number) and
-thins the two arms with independent binomial detection at efficiency eta;
-the pulse's record is the per-arm sums.  This is the model definition run
-forward, so large sampled histograms constitute an end-to-end stochastic
+In the model each of the mu modes carries a geometric photon number of
+ratio lambda_sq, shared by both arms, and each arm is thinned by binomial
+detection at efficiency eta.  A sum of mu such geometrics is exactly the
+photon total N ~ NegBin(mu, 1 - lambda_sq), and binomial thinning adds over
+modes, so given N the two arms' counts are independent Bin(N, eta) draws.
+Each pulse therefore draws N and thins it once per arm: the model's law at
+O(1) cost per pulse, vacuum (NegBin(mu, 1) = 0) and lossless (Bin(N, 1) = N)
+limits included.  Large sampled histograms are an end-to-end stochastic
 oracle for every closed formula in the package.
 
 Reproducibility contract: a run is a pure function of (params, n_shots,
 seed), independent of how many workers execute it.  Shots are partitioned
 into fixed-size blocks and each block consumes its own counter-partitioned
 Philox stream, so any scheduling of blocks produces bitwise-identical
-records.  Geometric variates use an inverse-transform from the uniform
-stream (exact and branch-free); binomial thinning draws from the same
-block stream.
+records.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -71,43 +71,23 @@ class ShotRecord:
         return self.shots[:, 1]
 
 
-def _mode_count(params: ExperimentParams) -> int:
+def _validate_sampling(params: ExperimentParams) -> None:
+    if not 0.0 < params.eta <= 1.0:
+        raise ParameterError(f"eta must be in (0, 1] for sampling, got {params.eta}")
     if not float(params.mu).is_integer():
         raise ParameterError(
             f"sampling requires an integer number of physical modes, got mu={params.mu}"
         )
-    return int(params.mu)
-
-
-def _validate_sampling(params: ExperimentParams) -> int:
-    if not 0.0 < params.eta <= 1.0:
-        raise ParameterError(f"eta must be in (0, 1] for sampling, got {params.eta}")
-    return _mode_count(params)
 
 
 def _draw_block(params: ExperimentParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n shots from one stream; fixed draw order (photons, arm 1, arm 2)."""
-    mu = int(params.mu)
-    lam_sq = params.lambda_sq
-    out = np.empty((n, 2), dtype=np.int64)
-    if lam_sq == 0.0:
-        out[:] = 0
-        return out
-    # Inverse-transform geometric on {0,1,...}: 1-u is uniform on (0,1].
-    u = rng.random((n, mu))
-    photons = np.floor(np.log1p(-u) / math.log(lam_sq)).astype(np.int64)
-    flat = photons.ravel()
-    if params.eta == 1.0:
-        out[:, 0] = photons.sum(axis=1)
-        out[:, 1] = out[:, 0]
-        return out
-    out[:, 0] = rng.binomial(flat, params.eta).reshape(n, mu).sum(axis=1)
-    out[:, 1] = rng.binomial(flat, params.eta).reshape(n, mu).sum(axis=1)
-    return out
+    """n shots from one stream; fixed draw order (photon totals, arm 1, arm 2)."""
+    photons = rng.negative_binomial(params.mu, 1.0 - params.lambda_sq, size=n)
+    return np.column_stack([rng.binomial(photons, params.eta) for _arm in range(2)])
 
 
 def sample_shot(params: ExperimentParams, rng: np.random.Generator) -> tuple[int, int]:
-    """One pulse: per-mode geometric photon pairs, independently thinned arms."""
+    """One pulse: a negative-binomial photon total, thinned once per arm."""
     _validate_sampling(params)
     pair = _draw_block(params, 1, rng)[0]
     return int(pair[0]), int(pair[1])

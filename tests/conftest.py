@@ -44,6 +44,21 @@ def record_b():
     return sample_run(PARAMS_B, 50_000, seed=0)
 
 
+def per_mode_draw(params: ExperimentParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Oracle: n shots straight from the model definition.  Each of the mu
+    modes draws a geometric photon number (inverse transform, shared by both
+    arms) and each arm thins every mode with its own binomial detection; a
+    shot's counts are the per-arm sums over modes."""
+    mu = int(params.mu)
+    if params.lambda_sq == 0.0:
+        return np.zeros((n, 2), dtype=np.int64)
+    u = rng.random((n, mu))  # 1 - u is uniform on (0, 1]
+    photons = np.floor(np.log1p(-u) / math.log(params.lambda_sq)).astype(np.int64)
+    return np.column_stack(
+        [rng.binomial(photons, params.eta).sum(axis=1) for _arm in range(2)]
+    )
+
+
 def geometric_cutoff(mu: int, mean_photons: float, tail: float = 1e-13) -> int:
     lam_sq = mean_photons / (mu + mean_photons)
     if lam_sq == 0.0:

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from twinbeam import (
     ExperimentParams,
     ParameterError,
+    SelectionRule,
     TableSizeError,
     brute_force_joint,
+    cond_count_dist,
     joint_prob,
     joint_table,
     log_binomial,
@@ -180,6 +183,20 @@ def test_joint_table_cell_budget():
     with pytest.raises(TableSizeError) as err:
         joint_table(ExperimentParams(1.0, 0.5, 20.0), tol=1e-12, max_cells=100)
     assert "cells" in str(err.value)
+
+
+def test_series_level_budget_is_checked_before_the_loop():
+    # at eta = 1e-9 the photon total has 95% of its mass beyond the series'
+    # level cap, so the series is refused before its first chunk
+    params = ExperimentParams(1.0, 1e-9, 0.1)
+    for build in (
+        lambda: joint_table(params),
+        lambda: cond_count_dist(params, SelectionRule.exact(0)),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(TableSizeError):
+            build()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_quantiles_match_scipy_stats():

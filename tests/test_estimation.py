@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,46 @@ def test_bootstrap_is_deterministic(record_b):
     b = estimate_params(record_b, n_bootstrap=50, bootstrap_seed=9,
                         compute_fidelity=False)
     assert a.standard_errors == b.standard_errors
+
+
+def _shot_bootstrap_errors(record: ShotRecord, n_bootstrap: int, seed: int) -> dict:
+    """Oracle: bootstrap standard errors by resampling shot indices."""
+    rng = np.random.default_rng(seed)
+    s = record.s.astype(float)
+    t = record.t.astype(float)
+    stats = {"M": [], "eta": [], "mu": []}
+    for _ in range(n_bootstrap):
+        idx = rng.integers(0, s.size, size=s.size)
+        bs, bt = s[idx], t[idx]
+        m = 0.5 * float(np.mean(bs + bt))
+        excess = 0.5 * (np.var(bs, ddof=1) + np.var(bt, ddof=1)) - m
+        stats["M"].append(m)
+        stats["eta"].append(1.0 - float(np.var(bs - bt, ddof=1)) / (2.0 * m))
+        stats["mu"].append(m**2 / excess if excess > 0.0 else math.inf)
+    out = {}
+    for key, values in stats.items():
+        values = np.array(values)
+        out[key] = float(np.std(values[np.isfinite(values)], ddof=1))
+    return out
+
+
+def test_cell_bootstrap_matches_shot_resampling(params_b):
+    rec = sample_run(params_b, 5_000, seed=3)
+    est = estimate_params(rec, n_bootstrap=2_000, bootstrap_seed=1, compute_fidelity=False)
+    oracle = _shot_bootstrap_errors(rec, 2_000, seed=2)
+    for key, se in oracle.items():
+        assert abs(est.standard_errors[key] - se) <= 0.1 * se, key
+
+
+def test_bootstrap_memory_stays_small(params_b):
+    rec = sample_run(params_b, 100_000, seed=4)
+    tracemalloc.start()
+    try:
+        estimate_params(rec, compute_fidelity=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_estimate_needs_enough_shots():

@@ -13,11 +13,13 @@ from twinbeam import (
     cond_count_dist,
     fidelity,
     histogram,
+    joint_table,
     marginal_dist,
     noise_reduction,
     sample_run,
     sample_shot,
 )
+from conftest import per_mode_draw
 
 
 def test_vacuum_always_zero():
@@ -129,6 +131,27 @@ def test_histogram_counts_metadata(record_b):
 @pytest.fixture(scope="module")
 def big_run_b(params_b):
     return sample_run(params_b, 1_000_000, seed=11)
+
+
+# Mean counts of 1 keep the histograms to a few hundred occupied cells, so the
+# Bhattacharyya deficit of two 2e5-shot histograms of one law (about K/(4n)
+# per histogram) stays well inside the 1e-3 margin.
+@pytest.mark.parametrize(
+    "mu, eta, m",
+    [(1, 0.3, 1.0), (1, 1.0, 1.0), (3, 0.3, 1.0), (3, 1.0, 1.0),
+     (25, 0.3, 1.0), (25, 1.0, 1.0), (3, 0.3, 0.0)],
+)
+def test_sampler_matches_per_mode_oracle(mu, eta, m):
+    params = ExperimentParams(float(mu), eta, m, allow_unit_eta=eta == 1.0)
+    sampled = histogram(sample_run(params, 200_000, seed=4))
+    oracle = histogram(
+        ShotRecord(shots=per_mode_draw(params, 200_000, np.random.default_rng(5)))
+    )
+    assert fidelity(sampled, oracle) >= 0.999
+    if eta < 1.0:
+        table = joint_table(params, tol=1e-10)
+        assert fidelity(sampled, table) >= 0.999
+        assert fidelity(oracle, table) >= 0.999
 
 
 def test_million_shot_fidelity(big_run_b, table_b):
