@@ -56,6 +56,14 @@ def _emit(args, obj, extra: dict | None = None) -> None:
         _save(args.out, text)
 
 
+def _json_only(flag: str, path, fmt: str | None = None) -> None:
+    """Refuse an explicit CSV request, ``--format csv`` or a .csv path, for
+    an output that has only a JSON form."""
+    if fmt == "csv" or str(path).lower().endswith(".csv"):
+        asked = "--format csv" if fmt == "csv" else f"the path {path}"
+        raise TwinbeamError(f"{flag} writes JSON only, but {asked} asks for CSV")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twinbeam",
@@ -160,6 +168,7 @@ def _run(args) -> int:
         rule = _selection_rule(args)
         if args.state_out is not None and rule.kind != "exact":
             raise TwinbeamError("--state-out needs an exact trigger rule (--t)")
+        _json_only("--state-out", args.state_out)
         dist = cond_count_dist(params, rule, tol=args.tol, verify=args.verify)
         if args.state_out is not None:
             state = build_conditional(params, rule, tol=args.tol)
@@ -167,6 +176,7 @@ def _run(args) -> int:
         _emit(args, dist)
 
     elif args.command == "nongauss":
+        _json_only("nongauss", args.out, args.format)
         _emit(args, nongauss_report(_params(args), args.t, tol=args.tol), {"tol": args.tol})
 
     elif args.command == "sweep":
@@ -183,6 +193,7 @@ def _run(args) -> int:
         _emit(args, sample_run(_params(args), args.shots, args.seed, workers=args.workers))
 
     elif args.command == "estimate":
+        _json_only("estimate --out", args.out)
         record = serialize.read_record(args.input)
         report = estimate_params(
             record,

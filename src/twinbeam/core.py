@@ -270,6 +270,22 @@ def joint_prob(params: ExperimentParams, s: int, t: int, tol: float = 1e-12) -> 
     scale = -math.inf
     lo = s
     hard_cap = lo + 10_000 + int(200.0 * (s + t + mu + 10.0) / max(1e-3, -log_x))
+    # The stopping bound term(l) * r / (1 - r) falls with l (r is
+    # non-increasing) and the sum never exceeds min(p2(s), p2(t)); if the
+    # bound at the last chunk end the loop can reach is still above tol times
+    # that, no chunk end can meet the stopping test.  The 1e-6 in the
+    # exponent covers rounding in the log-gamma terms.
+    last = lo + _CHUNK * ((hard_cap - lo) // _CHUNK) + _CHUNK - 1
+    ratio = x * (last + mu) * (last + 1.0) / ((last + 1.0 - s) * (last + 1.0 - t))
+    if ratio >= 1.0 or (
+        c0 + last * log_x + log_binomial(last + mu - 1.0, last)
+        + log_binomial(last, s) + log_binomial(last, t) + math.log(ratio / (1.0 - ratio))
+        > math.log(tol) + float(_log_nb_arr(mu, params.mean_counts, [s, t]).min()) + 1e-6
+    ):
+        raise TableSizeError(
+            f"series for p({s}, {t}) needs more than {last + 1} photon levels "
+            f"to reach the relative tolerance {tol:.3g}"
+        )
     while True:
         ls = np.arange(lo, lo + _CHUNK, dtype=float)
         logs = (

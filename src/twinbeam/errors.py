@@ -10,9 +10,15 @@ class ParameterError(TwinbeamError, ValueError):
 
 
 class ConvergenceError(TwinbeamError):
-    """A series failed its convergence guarantee.
+    """A series or an assembled distribution failed its own check.
 
-    Defensive: cannot occur for parameters that pass validation.
+    Raised when a series does not meet its stopping bound within its level
+    cap, or when assembled masses or member weights exceed their exact
+    totals beyond rounding.  Work that cannot finish within a budget is
+    refused up front with TableSizeError; this error remains reachable for
+    some valid parameters through precision loss in log-gamma differences
+    at large arguments (for example ``joint_table((1e6, 0.3, 3))``).  It
+    always replaces a result, never accompanies a wrong one.
     """
 
 

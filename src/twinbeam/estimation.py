@@ -7,16 +7,19 @@ The estimators mirror how the experiment is analysed:
 * the beam mean is the grand mean of both arms;
 * the mode count comes from the multithermal variance M*(1 + M/mu):
   mu = M**2 / (var - M), with an optional maximum-likelihood refinement of
-  (mu, M) against the closed-form marginal for the small-mu regime.
+  (mu, M) against the closed-form marginal for the small-mu regime.  The
+  negative-binomial likelihood peaks at M equal to the pooled sample mean,
+  so the refinement is one root in mu of the profile score, found by
+  bracket doubling and bisection.
 
 Fits are sequential (eta from R first, then mu and M from the marginal).
 All standard errors are nonparametric bootstrap over whole shots, which
 preserves the arm-arm correlation; a resample is drawn as multinomial counts
-of the record's distinct (s, t) cells, the same law as drawing shot indices,
-and is deterministic given the bootstrap seed.  Agreement between a model
-table and an empirical histogram is the Bhattacharyya coefficient
-sum_{cells} sqrt(p*q) on the zero-padded union of their supports, with each
-table normalised by its total mass.
+over a tally of the record's distinct (s, t) cells, the same law as drawing
+shot indices, and is deterministic given the bootstrap seed.  Agreement
+between a model table and an empirical histogram is the Bhattacharyya
+coefficient sum_{cells} sqrt(p*q) on the zero-padded union of their
+supports, with each table normalised by its total mass.
 """
 
 from __future__ import annotations
@@ -25,16 +28,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
-from .core import JointDistribution, PhotoCountDistribution, _log_nb_arr, joint_table
-from .errors import DegenerateRecordError, ParameterError
+from .core import JointDistribution, PhotoCountDistribution, joint_table
+from .errors import DegenerateRecordError, ParameterError, TableSizeError
 from .params import ExperimentParams
 from .sampling import ShotRecord, histogram
 
 __all__ = ["EstimationReport", "noise_reduction", "estimate_params", "fidelity"]
 
 _BOOTSTRAP_DEFAULT = 200
+_MU_CAP = 1e6
+_MAX_LEVELS = 4_000_000  # count levels the refinement's score sums over
 
 
 @dataclass(frozen=True)
@@ -92,26 +96,45 @@ def _moment_estimates(s: np.ndarray, t: np.ndarray) -> tuple[float, float, float
     return m_hat, r_hat, eta_hat, mu_hat
 
 
-def _ml_refine(counts: np.ndarray, mu0: float, m0: float) -> tuple[float, float]:
-    """Maximum-likelihood (mu, M) against the closed-form marginal, started
-    from the moment estimates."""
-    values, weights = np.unique(counts, return_counts=True)
-    w = weights.astype(float)
+def _ml_refine(counts: np.ndarray, diagnostics: list[str]) -> tuple[float, float]:
+    """Maximum-likelihood (mu, M) of the closed-form marginal for pooled
+    counts.
 
-    def nll(x: np.ndarray) -> float:
-        mu, m = x
-        if mu < 1.0 or m <= 0.0:
-            return math.inf
-        return -float(w @ _log_nb_arr(mu, m, values))
+    The ML mean is exactly the sample mean x_bar, and the profile score in
+    mu, sum_j S(j)/(mu + j) - n*log1p(x_bar/mu) with S(j) the number of
+    counts above j, is positive below its one root and negative above it.
+    The root is bracketed by doubling from mu = 1 and bisected to the last
+    bit; it is clamped to [1, _MU_CAP], with a diagnostic at either bound.
+    """
+    n = counts.size
+    top = int(counts.max())
+    if top > _MAX_LEVELS:
+        raise TableSizeError(
+            f"maximum-likelihood refinement sums over {top} count levels, "
+            f"exceeding the budget of {_MAX_LEVELS}"
+        )
+    above = n - np.cumsum(np.bincount(counts, minlength=top + 1))[:top]  # S(j), j < top
+    levels = np.arange(top, dtype=float)
+    x_bar = float(np.mean(counts))
 
-    x0 = np.array([min(max(mu0, 1.0), 1e6), max(m0, 1e-9)])
-    res = optimize.minimize(
-        nll, x0, method="Nelder-Mead",
-        bounds=[(1.0, None), (1e-12, None)],
-        options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000},
-    )
-    mu_ml, m_ml = res.x
-    return float(mu_ml), float(m_ml)
+    def score_negative(mu: float) -> bool:
+        return float(above @ (1.0 / (mu + levels))) <= n * math.log1p(x_bar / mu)
+
+    if score_negative(1.0):
+        diagnostics.append("maximum-likelihood mu clamped at the domain bound mu = 1")
+        return 1.0, x_bar
+    lo, hi = 1.0, 2.0
+    while not score_negative(hi):
+        if hi == _MU_CAP:
+            diagnostics.append(f"maximum-likelihood mu capped at {_MU_CAP:g}")
+            return hi, x_bar
+        lo, hi = hi, min(2.0 * hi, _MU_CAP)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if score_negative(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, x_bar
 
 
 def estimate_params(
@@ -148,7 +171,7 @@ def estimate_params(
             "(sub-multithermal dispersion)"
         )
     if refine and math.isfinite(mu_hat):
-        mu_hat, m_hat = _ml_refine(np.concatenate([record.s, record.t]), mu_hat, m_hat)
+        mu_hat, m_hat = _ml_refine(np.concatenate([record.s, record.t]), diagnostics)
         diagnostics.append("mu/M refined by maximum likelihood")
 
     errors = _bootstrap_errors(s, t, n_bootstrap, bootstrap_seed, diagnostics)
@@ -169,6 +192,22 @@ def estimate_params(
     )
 
 
+def _cell_tally(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (s, t) cells of a record in lexicographic order, as an
+    (k, 2) array, and the number of shots in each.
+
+    Each arm is dense-ranked on its own and the pair is keyed as
+    rank_s * (distinct t values) + rank_t, an integer below n**2, so one 1-D
+    sort replaces a sort of the (n, 2) rows: the same cells, order and
+    counts as ``np.unique(np.column_stack([s, t]), axis=0)``.
+    """
+    s_values, s_rank = np.unique(s, return_inverse=True)
+    t_values, t_rank = np.unique(t, return_inverse=True)
+    keys, counts = np.unique(s_rank * t_values.size + t_rank, return_counts=True)
+    cells = np.column_stack([s_values[keys // t_values.size], t_values[keys % t_values.size]])
+    return cells, counts
+
+
 def _bootstrap_errors(
     s: np.ndarray,
     t: np.ndarray,
@@ -182,7 +221,7 @@ def _bootstrap_errors(
     if n_bootstrap == 0:
         return {}
     n = s.size
-    cells, counts = np.unique(np.column_stack([s, t]), axis=0, return_counts=True)
+    cells, counts = _cell_tally(s, t)
     weights = np.random.default_rng(seed).multinomial(n, counts / n, size=n_bootstrap)
     # per-cell deviations of s, t and s - t from the record means
     dev = np.column_stack([cells, cells[:, 0] - cells[:, 1]])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -107,6 +108,69 @@ def test_state_out_rejects_set_rules_before_computing(tmp_path, monkeypatch, cap
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--state-out" in err[0]
     assert not state_path.exists()
+
+
+def _refuses_before_computing(cli, argv, path, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "JSON only" in err[0]
+    assert not path.exists()
+
+
+def test_nongauss_refuses_a_csv_request(tmp_path, monkeypatch, capsys):
+    import twinbeam.cli as cli
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("a report was computed before the format check")
+
+    monkeypatch.setattr(cli, "nongauss_report", no_computation)
+    base = ["nongauss", "--mu", "25", "--eta", "0.06", "--mean", "3.77", "--t", "5"]
+    csv_path = tmp_path / "nongauss.csv"
+    json_path = tmp_path / "nongauss.json"
+    _refuses_before_computing(cli, [*base, "--out", str(csv_path)], csv_path, capsys)
+    _refuses_before_computing(cli, [*base, "--format", "csv", "--out", str(json_path)],
+                              json_path, capsys)
+    _refuses_before_computing(cli, [*base, "--format", "csv"], csv_path, capsys)
+
+
+def test_nongauss_stdout_stays_json(capsys):
+    import twinbeam.cli as cli
+
+    # SHA-256 of the stdout before CSV requests were refused
+    argv = ["nongauss", "--mu", "1", "--eta", "0.5", "--mean", "0.5", "--t", "1",
+            "--tol", "1e-6"]
+    for extra in ([], ["--format", "json"]):
+        assert cli.main([*argv, *extra]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "a0ad874a9316ea40dadb91519089fba28404a5752c17e2c53bb973f02232fc36")
+
+
+def test_state_out_refuses_a_csv_path(tmp_path, monkeypatch, capsys):
+    import twinbeam.cli as cli
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("a distribution was computed before the format check")
+
+    monkeypatch.setattr(cli, "cond_count_dist", no_computation)
+    monkeypatch.setattr(cli, "build_conditional", no_computation)
+    state_path = tmp_path / "state.CSV"
+    _refuses_before_computing(
+        cli, ["conditional", "--mu", "25", "--eta", "0.056", "--mean", "17.1", "--t", "13",
+              "--state-out", str(state_path)], state_path, capsys)
+
+
+def test_estimate_refuses_a_csv_report(tmp_path, monkeypatch, capsys):
+    import twinbeam.cli as cli
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("the record was read before the format check")
+
+    monkeypatch.setattr(cli.serialize, "read_record", no_computation)
+    monkeypatch.setattr(cli, "estimate_params", no_computation)
+    report = tmp_path / "report.csv"
+    _refuses_before_computing(
+        cli, ["estimate", "--input", str(tmp_path / "run.csv"), "--out", str(report)],
+        report, capsys)
 
 
 def test_malformed_inputs_give_one_error_line(tmp_path, capsys):

@@ -220,7 +220,8 @@ def test_quantiles_match_scipy_stats():
 
 def test_import_leaves_slow_scipy_modules_out():
     code = ("import sys, twinbeam; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
@@ -287,6 +288,16 @@ def test_brute_force_guards():
         brute_force_joint(2, 1.0, 0.0)
     with pytest.raises(ParameterError):
         brute_force_joint(2, 1.0, 0.5, photon_cutoff=3)
+
+
+def test_joint_prob_budget_is_checked_before_the_loop():
+    # the series for p(0, 0) cannot meet its relative tolerance within its
+    # level cap here; it is refused before the first chunk
+    for eta in (1e-9, 1e-6):
+        start = time.perf_counter()
+        with pytest.raises(TableSizeError):
+            joint_prob(ExperimentParams(1.0, eta, 0.1), 0, 0)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_brute_force_explicit_cutoff_accepted():

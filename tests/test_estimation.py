@@ -3,19 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twinbeam import (
     DegenerateRecordError,
     ExperimentParams,
     ParameterError,
     ShotRecord,
+    TableSizeError,
     estimate_params,
     fidelity,
     joint_table,
     noise_reduction,
     sample_run,
 )
+from twinbeam import estimation
+from twinbeam.core import _log_nb_arr
 
 
 # --- noise reduction -----------------------------------------------------------
@@ -142,6 +145,121 @@ def test_bootstrap_memory_stays_small(params_b):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# --- cell tally ----------------------------------------------------------------
+
+
+def _row_sort_tally(s: np.ndarray, t: np.ndarray):
+    """Oracle: the distinct (s, t) rows and their counts by a sort of the
+    (n, 2) rows, the tally the bootstrap used before the 1-D key."""
+    return np.unique(np.column_stack([s, t]).astype(float), axis=0, return_counts=True)
+
+
+_BIG = 2**62  # s * (max t + 1) + t would overflow int64 here
+_count = st.one_of(st.integers(0, 6), st.integers(0, 10**9), st.integers(_BIG - 3000, _BIG + 3000))
+
+
+@given(shots=st.lists(st.tuples(_count, _count), min_size=1, max_size=300))
+@example(shots=[(4, 4)] * 7)  # one cell
+@example(shots=[(s, 0) for s in (3, 1, 4, 1, 5, 9, 2, 6)])  # an all-zero arm
+@example(shots=[(_BIG + 2048 * i, _BIG - 1000 * i) for i in range(6)] * 2)  # both arms near 2**62
+@settings(max_examples=150, deadline=None)
+def test_cell_tally_matches_row_sort(shots):
+    record = ShotRecord(shots=np.array(shots, dtype=np.int64))
+    s, t = record.s.astype(float), record.t.astype(float)
+    cells, counts = estimation._cell_tally(s, t)
+    ref_cells, ref_counts = _row_sort_tally(s, t)
+    assert np.array_equal(cells, ref_cells)
+    assert np.array_equal(counts, ref_counts)
+
+
+def test_bootstrap_runs_on_counts_near_2_62():
+    rng = np.random.default_rng(8)
+    shots = _BIG + rng.integers(0, 10**13, size=(500, 2))
+    report = estimate_params(ShotRecord(shots=shots), n_bootstrap=20, compute_fidelity=False)
+    assert all(se >= 0.0 for se in report.standard_errors.values())
+    assert math.isfinite(report.standard_errors["M"])
+
+
+@pytest.mark.parametrize("params,shots", [
+    (ExperimentParams(25.0, 0.056, 17.1), 10_000),
+    (ExperimentParams(197.0, 0.06, 13.4), 30_000),
+    (ExperimentParams(1.0, 0.3, 2.0), 10_000),
+    (ExperimentParams(2.0, 0.3, 2.0), 10_000),
+    (ExperimentParams(3.0, 0.3, 2.0), 10_000),
+])
+def test_cell_tally_keeps_every_report_field(params, shots, monkeypatch):
+    record = sample_run(params, shots, seed=1)
+    report = estimate_params(record, bootstrap_seed=3)
+    monkeypatch.setattr(estimation, "_cell_tally", _row_sort_tally)
+    assert report == estimate_params(record, bootstrap_seed=3)
+
+
+# --- maximum-likelihood refinement -----------------------------------------------
+
+
+def _nelder_mead_refine(counts: np.ndarray, mu0: float, m0: float):
+    """Oracle: the joint (mu, M) likelihood minimised by Nelder-Mead from the
+    moment estimates, as the refinement was done before the profile root;
+    returns the estimates and the negative log-likelihood function."""
+    from scipy import optimize  # the package keeps it off its import path
+
+    values, weights = np.unique(counts, return_counts=True)
+    w = weights.astype(float)
+
+    def nll(mu: float, m: float) -> float:
+        if mu < 1.0 or m <= 0.0:
+            return math.inf
+        return -float(w @ _log_nb_arr(mu, m, values))
+
+    x0 = np.array([min(max(mu0, 1.0), 1e6), max(m0, 1e-9)])
+    res = optimize.minimize(
+        lambda x: nll(*x), x0, method="Nelder-Mead",
+        bounds=[(1.0, None), (1e-12, None)],
+        options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000},
+    )
+    return float(res.x[0]), float(res.x[1]), nll
+
+
+_CLOSURE_GRID = [
+    ExperimentParams(mu, eta, m) for mu in (1.0, 2.0, 3.0) for eta in (0.2, 0.35, 0.5)
+    for m in (1.6, 2.3, 3.0)
+] + [ExperimentParams(25.0, 0.056, 17.1)]
+
+
+def test_ml_root_matches_nelder_mead():
+    # at (1, 0.2, 1.6) Nelder-Mead stops on the mu = 1 bound, while the ML mu
+    # is 1.0016: there only the likelihoods are compared
+    for params in _CLOSURE_GRID:
+        record = sample_run(params, 20_000, seed=0)
+        moments = estimate_params(record, n_bootstrap=0, compute_fidelity=False)
+        refined = estimate_params(record, refine=True, n_bootstrap=0, compute_fidelity=False)
+        mu_nm, m_nm, nll = _nelder_mead_refine(
+            np.concatenate([record.s, record.t]), moments.mu_hat, moments.M_hat)
+        best = nll(mu_nm, m_nm)
+        assert nll(refined.mu_hat, refined.M_hat) <= best + 1e-9 * abs(best), params
+        if mu_nm > 1.001:
+            assert refined.mu_hat == pytest.approx(mu_nm, rel=1e-6), params
+            assert refined.M_hat == pytest.approx(m_nm, rel=1e-6), params
+
+
+def test_ml_root_clamps_and_caps_with_diagnostics():
+    rng = np.random.default_rng(4)
+    for counts, mu, note in (
+        (rng.negative_binomial(0.3, 0.1, size=5_000), 1.0, "clamped"),
+        (rng.poisson(5.0, size=5_000), 1e6, "capped"),
+    ):
+        diagnostics: list[str] = []
+        mu_ml, m_ml = estimation._ml_refine(counts, diagnostics)
+        assert mu_ml == mu and m_ml == np.mean(counts)
+        assert len(diagnostics) == 1 and note in diagnostics[0]
+
+
+def test_ml_refinement_refuses_huge_counts():
+    counts = np.array([0, 3, 10**9, 7] * 50, dtype=np.int64)
+    with pytest.raises(TableSizeError):
+        estimation._ml_refine(counts, [])
 
 
 def test_estimate_needs_enough_shots():
