@@ -43,7 +43,10 @@ def main() -> None:
           f"eta={report.eta_hat:.4g} (+-{se['eta']:.2g})  "
           f"M={report.M_hat:.6g} (+-{se['M']:.2g})")
     print(f"noise red. : {report.R_hat:.6g}  (1 - eta = {1 - truth.eta:.6g})")
-    print(f"record fid.: {report.fidelity:.6f}  (histogram vs recovered model)")
+    if report.fidelity is None:
+        print("record fid.: skipped (see the notes below)")
+    else:
+        print(f"record fid.: {report.fidelity:.6f}  (histogram vs recovered model)")
 
     recovered_table = joint_table(report.params(), tol=1e-9)
     true_table = joint_table(truth, tol=1e-9)

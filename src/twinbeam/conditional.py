@@ -26,13 +26,13 @@ the acceptance probability P(A) = sum_{t in A} p2(t).  Because M_t is
 affine, the mixture mean is M_t evaluated at E[t | A]; the member states
 are built only when ``ConditionalMixture.states`` is read.
 
-The count distribution of any selection is one weighted column sum of the
-joint law, P(s | t in A) = sum_{t in A} p(s, t) / P(A), evaluated by the
-rank-one slice kernel of the joint table restricted to the accepted
-columns (``core._column_sum``); an exact rule is the one-column case.  The
-measurement route (binomial thinning of the photon weights of each member
-state, mixed with the weights p2(t)/P(A)) is independent of it; behind
-``verify=True`` the two must agree to 10*tol.
+The count distribution of any selection, P(s | t in A) = p2(s) sum_{t in A}
+P(t | s) / P(A), comes from the recurrence of ``core``: the columns
+t <= max(A) of P(t | s), or for above(t*) the one tail column
+P(count > t* | s), at a cost that does not grow with |A|.  The measurement
+route (binomial thinning of the photon weights of each member state, mixed
+with the weights p2(t)/P(A)) is independent of it; behind ``verify=True``
+the two must agree to 10*tol.
 """
 
 from __future__ import annotations
@@ -47,15 +47,17 @@ from scipy.special import betainc
 
 from .core import (
     _FLOAT_SLACK,
+    _MAX_CELLS_DEFAULT,
     PhotoCountDistribution,
-    _column_sum,
+    _assembled,
+    _conditional_law,
     _first_true,
     _log_binom_arr,
-    _log_marginal_arr,
+    _log_nb_arr,
+    _marginal_probs,
     _mass_sum,
     _nb_quantile,
     _nb_sf,
-    _probs_and_tail,
     _validate_count,
     _validate_tol,
     log_marginal,
@@ -421,7 +423,7 @@ def _selection(
         values = np.array(rule.values)
     else:
         values = np.arange(thr, thr + 1) if rule.kind == "exact" else np.arange(thr)
-    p2 = np.exp(_log_marginal_arr(params, values))
+    p2 = np.exp(_log_nb_arr(params.mu, params.mean_counts, values))
     if rule.kind != "above":
         success = _mass_sum(p2)
     if success < 1e-300:
@@ -475,8 +477,7 @@ def povm_count_dist(
                 -np.inf,
             )
             probs += np.exp(log_thin) @ level[start : start + 4096]
-    probs, tail = _probs_and_tail(probs)
-    return PhotoCountDistribution(probs=probs, tail_bound=tail, tol=tol)
+    return _assembled(PhotoCountDistribution, probs, tol=tol)
 
 
 def cond_count_dist(
@@ -488,7 +489,7 @@ def cond_count_dist(
     """Count distribution of the selected signal state.
 
     Every rule takes the Bayes route: the accepted joint-table columns are
-    summed by one series kernel and divided by the acceptance probability.
+    summed on the recurrence kernel and divided by the acceptance probability.
     ``verify=True`` additionally evaluates the measurement route (the
     p2-weighted mixture of the members' thinned photon distributions) and
     raises VerificationError if the two disagree beyond 10*tol.
@@ -518,14 +519,21 @@ def _selected_count_dist(
     tol: float,
     verify: bool,
 ) -> PhotoCountDistribution:
-    """sum_{t in values} p(s, t) / success, the series truncated at
-    tol*success/4 and the counts at the support of the largest member."""
+    """sum_{t in values} p(s, t) / success for counts s up to the support of
+    the largest member.  above(t*) takes the tail column P(count > t* | s);
+    the other rules sum the accepted columns of P(t | s)."""
     if params.mean_counts == 0.0:  # only t = 0 is possible, and it is accepted
         return PhotoCountDistribution(probs=np.array([1.0]), tail_bound=0.0, tol=tol)
     s_max = _thinned_support(_gamma_support(params, int(values[-1]), tol), params.eta, tol)
-    col = _column_sum(params, values.astype(float), s_max, tol_mass=0.25 * tol * success)
-    probs, tail = _probs_and_tail(col / success)
-    bayes = PhotoCountDistribution(probs=probs, tail_bound=tail, tol=tol)
+    width = rule.threshold + 2 if rule.kind == "above" else int(values[-1]) + 1
+    cells = (s_max + width) * (width + 1)  # the sweep's diagonals, stored by t
+    if cells > 2 * _MAX_CELLS_DEFAULT:
+        raise TableSizeError(f"{rule.describe()} needs {cells} recurrence cells")
+    law = _conditional_law(params, s_max + 1, width, tail=rule.kind == "above")
+    given = law[:, -1] if rule.kind == "above" else law[:, values].sum(axis=1)
+    bayes = _assembled(
+        PhotoCountDistribution, _marginal_probs(params, s_max + 1) * given / success, tol=tol
+    )
     if verify:
         other = np.zeros(s_max + 1)
         for t, frac in zip(values.tolist(), p2 / success):

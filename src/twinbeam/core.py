@@ -1,35 +1,41 @@
 """Closed-form counting statistics of multimode twin-beam light.
 
 Per mode, the two arms carry perfectly correlated photon numbers with a
-geometric law of ratio ``lambda_sq``; detection thins each arm independently
-with efficiency eta.  Summing mu identical modes gives, for the detected
-counts (s, t) on the two beams,
+geometric law; detection thins each arm independently with efficiency eta.
+Summing mu identical modes, the detected counts (s, t) on the two beams have
+the generating function G(u, v) = [(1-r) / (1 - r(a + bu)(a + bv))]**mu,
+a = 1-eta, b = eta, r = nbar/(1 + nbar) with nbar = M/(eta*mu) the mean
+photon number per mode and M the mean counts per beam.  The single-beam
+marginal is the multithermal (negative-binomial) law
 
-    p(s, t) = A**mu * B**(s+t)
-              * sum_{l >= max(s,t)} x**l * C(l+mu-1, l) * C(l, s) * C(l, t)
+    p2(t) = C(t+mu-1, t) * q**t * (1 - q)**mu,   q = M/(M + mu),
 
-with A = mu*eta/(M + mu*eta), B = eta/(1-eta), x = M*(1-eta)**2/(M + mu*eta)
-and M the mean counts per beam.  Every summand is evaluated in log space
-(gamma-function binomials, so mu may be real) and accumulated in linear
-space; the term ratio
+a running sum of the O(1) log-ratios log((j+mu) q/(j+1)).  ``joint_table``
+needs no series: the identity (1 - r(a + bu)(a + bv)) dG/du =
+mu r b (a + bv) G gives, with m = M/mu and D = 1 + m(2-eta), for the
+conditional law R(s, t) = p(s, t)/p2(s) = P(t | s)
 
-    r(l) = x * (l+mu) * (l+1) / ((l+1-s) * (l+1-t))
+    R(s, t) = alpha R(s-1, t) + beta R(s-1, t-1) + c R(s, t-1),
+    alpha = (1-eta)(1+m)/D,  beta = eta(1+m)/D,  c = m(1-eta)/D,
 
-is monotonically non-increasing in l with limit x < 1, which yields a
-rigorous geometric tail bound for truncation.  The single-beam marginal is
-the closed-form multithermal (negative-binomial) law
+positive and summing to 1, so every cell is a convex combination of cells
+in [0, 1]: nothing cancels, overflows or needs rescaling, and the cells
+p2(s) R(s, t) keep full precision where p(0, 0) = (1 + m(2-eta))**-mu
+underflows.  The tail sums P(count >= t | s) obey the same recurrence for
+t >= 1.  Both are swept one anti-diagonal s + t = d at a time
+(``_conditional_law``).
 
-    p2(t) = C(t+mu-1, t) * (M/mu)**t * (1 + M/mu)**(-(t+mu)).
-
-``brute_force_joint`` provides the independent oracle: it enumerates photon
-numbers per mode, applies binomial thinning to each arm, and convolves the
-modes, using exact integer binomials throughout.
+``joint_prob`` keeps the log-space series p(s, t) = A**mu B**(s+t)
+sum_{l >= max(s,t)} x**l C(l+mu-1, l) C(l, s) C(l, t), A = mu eta/(M + mu
+eta), B = eta/(1-eta), x = M (1-eta)**2/(M + mu eta), with a geometric tail
+bound, as an independent oracle; ``brute_force_joint`` enumerates photon
+numbers per mode with exact integer binomial thinning and convolves modes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -72,19 +78,19 @@ def _mass_sum(values) -> float:
     return float(np.sum(np.sort(arr)))
 
 
-def _probs_and_tail(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pair an assembled mass array with its omitted-mass bound.
+def _assembled(cls, values: np.ndarray, **fields):
+    """``cls`` built from an assembled mass array, summed once.
 
-    The exact distribution has total mass <= 1; summation rounding can
-    overshoot by a few ulps, which is scaled out (anything beyond rounding
-    scale is a genuine bug and raises).
+    The omitted mass is 1 - sum.  The exact distribution has total mass
+    <= 1, so a sum above 1 can only come from rounding.  An overshoot of a
+    few ulps is scaled out; anything larger is a bug and raises.
     """
     total = _mass_sum(values)
     if total > 1.0:
         if total > 1.0 + 1e-12:
             raise ConvergenceError(f"assembled mass {total} exceeds 1 beyond rounding")
-        return values / total, 0.0
-    return values, 1.0 - total
+        return cls(probs=values / total, tail_bound=0.0, **fields)
+    return cls(probs=values, tail_bound=1.0 - total, _mass=total, **fields)
 
 
 @dataclass(frozen=True)
@@ -93,15 +99,17 @@ class PhotoCountDistribution:
 
     ``tail_bound`` is an upper bound on the omitted mass, so that
     sum(probs) + tail_bound recovers 1 up to the build tolerance.  ``mean``
-    caches the first moment of the stored part.
+    caches the first moment of the stored part.  ``_mass`` is the sum of
+    ``probs`` when the builder has already taken it.
     """
 
     probs: np.ndarray
     tail_bound: float
     tol: float
     mean: float = field(init=False)
+    _mass: InitVar[Optional[float]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _mass: Optional[float]) -> None:
         probs = _freeze(np.atleast_1d(self.probs))
         if probs.ndim != 1 or probs.size == 0:
             raise ParameterError("probs must be a non-empty 1-D array")
@@ -109,7 +117,7 @@ class PhotoCountDistribution:
             raise ParameterError("probabilities must be finite and >= 0")
         if self.tail_bound < 0.0:
             raise ParameterError("tail_bound must be >= 0")
-        total = _mass_sum(probs) + self.tail_bound
+        total = (_mass_sum(probs) if _mass is None else _mass) + self.tail_bound
         slack = 10.0 * self.tol + _FLOAT_SLACK
         if not (1.0 - slack <= total <= 1.0 + slack):
             raise ParameterError(f"mass + tail_bound = {total} outside [1-{slack}, 1]")
@@ -128,9 +136,10 @@ class PhotoCountDistribution:
 class JointDistribution:
     """Truncated two-beam count table over (s, t) starting at (0, 0).
 
-    Model-derived tables are exactly symmetric (the closed form is symmetric
-    in its arguments and both halves run through identical arithmetic);
-    empirical tables set ``symmetric=False`` to skip that invariant.
+    Model-derived tables are exactly symmetric (the stored table is one
+    triangle and its mirror image); empirical tables set
+    ``symmetric=False`` to skip that invariant.  ``total_mass`` is the sum
+    of ``probs``; ``_mass`` passes it in when the builder has already taken it.
     """
 
     probs: np.ndarray
@@ -139,8 +148,10 @@ class JointDistribution:
     tol: float
     symmetric: bool = True
     meta: dict = field(default_factory=dict)
+    total_mass: float = field(init=False, repr=False)
+    _mass: InitVar[Optional[float]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _mass: Optional[float]) -> None:
         probs = _freeze(np.atleast_2d(self.probs))
         if probs.ndim != 2 or probs.size == 0:
             raise ParameterError("probs must be a non-empty 2-D array")
@@ -152,15 +163,14 @@ class JointDistribution:
             probs.shape[0] != probs.shape[1] or not np.array_equal(probs, probs.T)
         ):
             raise ParameterError("model joint table must be exactly symmetric")
-        total = self.total_mass + self.tail_bound
+        mass = _mass_sum(probs) if _mass is None else _mass
         slack = 10.0 * self.tol + _FLOAT_SLACK
-        if not (1.0 - slack <= total <= 1.0 + slack):
-            raise ParameterError(f"mass + tail_bound = {total} outside [1-{slack}, 1]")
+        if not (1.0 - slack <= mass + self.tail_bound <= 1.0 + slack):
+            raise ParameterError(
+                f"mass + tail_bound = {mass + self.tail_bound} outside [1-{slack}, 1]"
+            )
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def total_mass(self) -> float:
-        return _mass_sum(self.probs)
+        object.__setattr__(self, "total_mass", mass)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -277,7 +287,7 @@ def joint_prob(params: ExperimentParams, s: int, t: int, tol: float = 1e-12) -> 
     # exponent covers rounding in the log-gamma terms.
     last = lo + _CHUNK * ((hard_cap - lo) // _CHUNK) + _CHUNK - 1
     ratio = x * (last + mu) * (last + 1.0) / ((last + 1.0 - s) * (last + 1.0 - t))
-    if ratio >= 1.0 or (
+    if ratio >= 1.0 or ratio > 0.0 and (
         c0 + last * log_x + log_binomial(last + mu - 1.0, last)
         + log_binomial(last, s) + log_binomial(last, t) + math.log(ratio / (1.0 - ratio))
         > math.log(tol) + float(_log_nb_arr(mu, params.mean_counts, [s, t]).min()) + 1e-6
@@ -314,98 +324,50 @@ def joint_prob(params: ExperimentParams, s: int, t: int, tol: float = 1e-12) -> 
     return min(acc * math.exp(scale), 1.0)
 
 
-def _slice_factors(params: ExperimentParams, ks: np.ndarray, lo: int, tol_mass: float):
-    """Scaled rank-one factors of the joint series, one l-chunk at a time.
+def _conditional_law(params: ExperimentParams, rows: int, cols: int, tail: bool = False):
+    """R(s, t) = P(t | s), or with ``tail`` P(count >= t | s), on the
+    rectangle s < rows, t < cols, as a read-only (s, t) view.
 
-    The series contributes one rank-one slice c_l * u_l (x) u_l per index l,
-    u_l(k) = B**k * C(l, k), where the slice over the full (s, t) plane has
-    mass A**mu * y**l * C(l+mu-1, l) with y = M/(M + mu*eta) < 1, giving a
-    global geometric stopping bound.  Yields V[l, j] = exp(log u_l(ks[j]) +
-    log c_l / 2) for chunks of l from ``lo`` on, until l has passed every
-    k and the bound on the mass of all later slices is <= tol_mass; raises
-    TableSizeError up front when that cannot happen within the level cap.
-    Every V entry squared is bounded by a diagonal table cell, so the scaled
-    factors can never overflow.  Callers set the numpy error state.
+    Both obey R(s, t) = alpha R(s-1, t) + beta R(s-1, t-1) + c R(s, t-1)
+    (the tail sums for t >= 1).  P(t | s) starts from NB(mu, c) on its first
+    row and P(0 | 0) alpha**s on its first column; the tail sums from
+    I_c(t, mu) and 1.  Each anti-diagonal s + t = d is one vector update
+    from the two before it; they are stored by t with a zero pad for t = -1.
     """
-    mu, eta, m = params.mu, params.eta, params.mean_counts
-    log_a, log_b, log_x = _series_constants(params)
-    log_y = math.log(m) - math.log(m + mu * eta)
-    y = math.exp(log_y)
-    base = mu * log_a
-    k_hi = int(ks.max())
-    log_u_base = ks * log_b  # the C(l, k) part is filled per chunk
-    chunk = 128
-    hard_cap = 10_000 + int(200.0 * (k_hi + mu + 10.0) / max(1e-3, -log_y))
-    # The slice masses are the NegBin(mu, 1 - y) law of the photon total, so
-    # I_y(l + 1, mu) is the exact mass beyond slice l.  Every chunk the loop
-    # can reach ends before slice hard_cap + chunk, and the stopping bound is
-    # at least the exact mass beyond it: past the budget, the loop cannot stop.
-    beyond_cap = float(betainc(hard_cap + chunk, mu, y))
-    if beyond_cap > tol_mass:
-        raise TableSizeError(
-            f"table series needs more than {hard_cap + chunk} photon levels: mass "
-            f"{beyond_cap:.3g} lies beyond them, above the budget of {tol_mass:.3g}"
-        )
-    while True:
-        ls = np.arange(lo, lo + chunk, dtype=float)
-        log_c = base + ls * log_x + _log_binom_arr(ls + mu - 1.0, ls)
-        valid = ks[None, :] <= ls[:, None]
-        log_u = np.where(
-            valid,
-            log_u_base[None, :] + gammaln(ls + 1.0)[:, None]
-            - gammaln(ks + 1.0)[None, :]
-            - gammaln(np.where(valid, ls[:, None] - ks[None, :], 0.0) + 1.0),
-            -np.inf,
-        )
-        yield np.exp(log_u + 0.5 * log_c[:, None])
-        last = lo + chunk - 1
-        log_mass = base + last * log_y + log_binomial(last + mu - 1.0, last)
-        ratio = y * (last + mu) / (last + 1.0)
-        if last >= k_hi and ratio < 1.0:
-            if math.exp(log_mass) * ratio / (1.0 - ratio) <= tol_mass:
-                return
-        lo += chunk
-        if lo > hard_cap:
-            raise ConvergenceError(f"table series did not converge within l <= {hard_cap}")
+    mu, eta = params.mu, params.eta
+    m = params.mean_counts / mu
+    den = 1.0 + m * (2.0 - eta)
+    alpha, beta, c = (1.0 - eta) * (1.0 + m) / den, eta * (1.0 + m) / den, m * (1.0 - eta) / den
+    if tail:
+        first_row, first_col = betainc(np.arange(float(cols)), mu, c), np.ones(rows)
+    else:
+        first_row = np.exp(_log_nb_running(mu, c, cols))
+        first_col = np.exp(mu * math.log1p(-c) + np.arange(rows) * math.log(alpha))
+    n = rows + cols - 1
+    # row n stays zero: it is the d = -1 diagonal read by the first update
+    diag = np.zeros((n + 1, cols + 1))
+    body, left = diag[:, 1:], diag[:, :-1]
+    edge = np.zeros(n)
+    edge[:rows] = first_col
+    body[0, 0] = first_row[0]
+    for d in range(1, n):
+        new = body[d]
+        np.multiply(body[d - 1], alpha, out=new)
+        new += beta * left[d - 2]
+        new += c * left[d - 1]
+        new[0] = edge[d]
+        if d < cols:
+            new[d] = first_row[d]
+    step, width = body.strides
+    return np.lib.stride_tricks.as_strided(
+        body, shape=(rows, cols), strides=(step, step + width), writeable=False
+    )
 
 
-def _table_block(
-    params: ExperimentParams, s_max: int, t_max: int, tol_mass: float
-) -> np.ndarray:
-    """Joint-count table on [0, s_max] x [0, t_max], truncation mass <= tol_mass.
-
-    Slices are accumulated as V.T @ V over the factor chunks of
-    ``_slice_factors``.  The upper triangle is mirrored at the end, making
-    the stored table exactly symmetric.
-    """
-    size = max(s_max, t_max) + 1
-    table = np.zeros((size, size))
-    if params.mean_counts == 0.0:
-        table[0, 0] = 1.0
-        return table[: s_max + 1, : t_max + 1]
-    with np.errstate(under="ignore", invalid="ignore", divide="ignore"):
-        for factors in _slice_factors(params, np.arange(size, dtype=float), 0, tol_mass):
-            table += factors.T @ factors
-    table = np.triu(table) + np.triu(table, 1).T
-    return table[: s_max + 1, : t_max + 1]
-
-
-def _column_sum(
-    params: ExperimentParams, columns: np.ndarray, s_max: int, tol_mass: float
-) -> np.ndarray:
-    """Summed joint-table columns sum_{t in columns} p(s, t) for s = 0..s_max,
-    truncation mass <= tol_mass; ``columns`` is ascending and M > 0.
-
-    The same slices as ``_table_block``, restricted to a set of columns: per
-    chunk, (sum_{t in columns} V[l, t]) @ V[l, s].  Slices with l below the
-    smallest column vanish on every column and are skipped.
-    """
-    ks = np.concatenate([np.arange(s_max + 1, dtype=float), columns])
-    col = np.zeros(s_max + 1)
-    with np.errstate(under="ignore", invalid="ignore", divide="ignore"):
-        for factors in _slice_factors(params, ks, int(columns[0]), tol_mass):
-            col += factors[:, s_max + 1 :].sum(axis=1) @ factors[:, : s_max + 1]
-    return col
+def _joint_square(params: ExperimentParams, n: int) -> np.ndarray:
+    """p(s, t) = p2(s) P(t | s) on s, t < n, its upper triangle mirrored."""
+    table = _marginal_probs(params, n)[:, None] * _conditional_law(params, n, n)
+    return np.triu(table) + np.triu(table, 1).T
 
 
 def _first_true(pred, hi: int) -> int:
@@ -445,8 +407,8 @@ def joint_table(
 ) -> JointDistribution:
     """Joint-count table with adaptively chosen bounds and omitted mass <= tol.
 
-    The square support is sized from the closed-form marginal quantile (half
-    the mass budget), the series truncation gets the other half.  Refuses to
+    The square support is sized from the closed-form marginal quantile, so
+    that at most tol/4 of the mass lies beyond it on each beam.  Refuses to
     build more than ``max_cells`` cells.
     """
     params.require_lossy()
@@ -458,9 +420,7 @@ def joint_table(
             f"table needs ({k + 1})**2 = {cells} cells for tol={tol}, "
             f"exceeding the budget of {max_cells}"
         )
-    table = _table_block(params, k, k, tol / 2.0)
-    table, tail = _probs_and_tail(table)
-    return JointDistribution(probs=table, tail_bound=tail, params=params, tol=tol)
+    return _assembled(JointDistribution, _joint_square(params, k + 1), params=params, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +428,50 @@ def joint_table(
 # ---------------------------------------------------------------------------
 
 
+def _log_nb_running(mu: float, ratio: float, n: int) -> np.ndarray:
+    """Log pmf of NB(mu, ratio) at k = 0..n-1.
+
+    mu*log(1 - ratio) plus a running sum of the O(1) log-ratios
+    log((j + mu) * ratio / (j + 1)).  Unlike log-gamma differences at large
+    mu, this loses no digits to cancellation.  Rounding does not accumulate
+    along the sum: each step splits into a multiple of 2**-32, whose sums
+    are exact below 2**53 units, and a remainder under 2**-33.
+    """
+    steps = np.log((np.arange(n - 1) + mu) * ratio / np.arange(1.0, n))
+    coarse = np.rint(np.ldexp(steps, 32))
+    fine = steps - np.ldexp(coarse, -32)
+    out = np.zeros(n)
+    out[1:] = np.ldexp(np.cumsum(coarse), -32) + np.cumsum(fine)
+    return mu * math.log1p(-ratio) + out
+
+
 def _log_nb_arr(mu: float, m: float, t) -> np.ndarray:
-    """Log multithermal pmf for mode count mu and mean m, vectorised in t."""
+    """Log multithermal pmf for mode count mu and mean m, vectorised in t:
+    NB(mu, m/(m + mu)) as a running sum up to the largest t.  Counts beyond
+    _MAX_CELLS_DEFAULT, where that sum would take as many terms, use the
+    gamma-function form."""
     t = np.asarray(t, dtype=float)
     if m == 0.0:
         return np.where(t == 0.0, 0.0, -np.inf)
-    return (
-        _log_binom_arr(t + mu - 1.0, t)
-        + t * (math.log(m) - math.log(mu))
-        - (t + mu) * math.log1p(m / mu)
-    )
+    top = float(t.max())
+    if top > _MAX_CELLS_DEFAULT:
+        return (
+            _log_binom_arr(t + mu - 1.0, t)
+            + t * (math.log(m) - math.log(mu))
+            - (t + mu) * math.log1p(m / mu)
+        )
+    return _log_nb_running(mu, m / (m + mu), int(top) + 1)[t.astype(np.intp)]
 
 
-def _log_marginal_arr(params: ExperimentParams, t) -> np.ndarray:
-    return _log_nb_arr(params.mu, params.mean_counts, t)
+def _marginal_probs(params: ExperimentParams, n: int) -> np.ndarray:
+    """p2(t) for t < n."""
+    return np.exp(_log_nb_arr(params.mu, params.mean_counts, np.arange(n)))
 
 
 def log_marginal(params: ExperimentParams, t: int) -> float:
     """Natural log of the closed-form single-beam count probability."""
     t = _validate_count(t, "t")
-    return float(_log_marginal_arr(params, t))
+    return float(_log_nb_arr(params.mu, params.mean_counts, t))
 
 
 def marginal(params: ExperimentParams, t: int) -> float:
@@ -500,9 +484,7 @@ def marginal_dist(params: ExperimentParams, tol: float = 1e-12) -> PhotoCountDis
     """Single-beam count distribution truncated to omitted mass <= tol."""
     tol = _validate_tol(tol)
     k = _nb_quantile(params, tol)
-    probs = np.exp(_log_marginal_arr(params, np.arange(k + 1)))
-    probs, tail = _probs_and_tail(probs)
-    return PhotoCountDistribution(probs=probs, tail_bound=tail, tol=tol)
+    return _assembled(PhotoCountDistribution, _marginal_probs(params, k + 1), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +559,4 @@ def brute_force_joint(
         ExperimentParams(mu, eta, eta * n_mean) if eta < 1.0 else
         ExperimentParams(mu, eta, eta * n_mean, allow_unit_eta=True)
     )
-    table, tail = _probs_and_tail(table)
-    return JointDistribution(
-        probs=table, tail_bound=tail, params=provenance, tol=_ORACLE_TAIL
-    )
+    return _assembled(JointDistribution, table, params=provenance, tol=_ORACLE_TAIL)

@@ -12,13 +12,15 @@ class ParameterError(TwinbeamError, ValueError):
 class ConvergenceError(TwinbeamError):
     """A series or an assembled distribution failed its own check.
 
-    Raised when a series does not meet its stopping bound within its level
-    cap, or when assembled masses or member weights exceed their exact
-    totals beyond rounding.  Work that cannot finish within a budget is
-    refused up front with TableSizeError; this error remains reachable for
-    some valid parameters through precision loss in log-gamma differences
-    at large arguments (for example ``joint_table((1e6, 0.3, 3))``).  It
-    always replaces a result, never accompanies a wrong one.
+    Raised when the ``joint_prob`` oracle series does not meet its stopping
+    bound within its level cap, or when assembled masses or member weights
+    exceed their exact totals beyond rounding.  The joint-table, marginal
+    and conditional count-law kernels no longer raise it on the validated
+    domain (mu >= 1, 0 < eta < 1, M >= 0); the measurement route behind
+    ``verify=True`` still can at mu near 1e6, where its photon-level weights
+    lose digits in log-gamma differences.  Work that cannot finish within a
+    budget is refused up front with TableSizeError.  It always replaces a
+    result, never accompanies a wrong one.
     """
 
 

@@ -31,7 +31,7 @@ from twinbeam import (
     sample_run,
     solve_mean_counts,
 )
-from twinbeam.core import _table_block
+from twinbeam.core import _joint_square
 
 from conftest import PARAMS_A, PARAMS_B
 
@@ -58,7 +58,7 @@ def test_criterion_1_oracle_equivalence():
                     oracle = brute_force_joint(mu, n_mean, eta)
                     params = ExperimentParams(float(mu), eta, eta * n_mean)
                     k = oracle.shape[0] - 1
-                    block = _table_block(params, k, k, tol_mass=1e-13)
+                    block = _joint_square(params, k + 1)
                     worst = max(worst, float(np.abs(block - oracle.probs).max()))
         elapsed = time.monotonic() - start
         assert worst <= 1e-10, f"max deviation {worst:.3e}"

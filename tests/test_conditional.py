@@ -319,15 +319,15 @@ def test_verify_flag_on_selections(rule, params_a, params_b):
 def test_verify_flag_detects_a_wrong_kernel(params_b, monkeypatch):
     import twinbeam.conditional as conditional
 
-    kernel = conditional._column_sum
+    kernel = conditional._conditional_law
 
     def skewed(*args, **kwargs):
-        col = kernel(*args, **kwargs)
-        col[5] *= 1.0 - 1e-6
-        return col
+        law = np.array(kernel(*args, **kwargs))
+        law[5] *= 1.0 - 1e-6
+        return law
 
-    monkeypatch.setattr(conditional, "_column_sum", skewed)
-    for rule in (SelectionRule.exact(13), SelectionRule.from_set([13, 19])):
+    monkeypatch.setattr(conditional, "_conditional_law", skewed)
+    for rule in (SelectionRule.exact(13), SelectionRule.from_set([13, 19]), SelectionRule.above(13)):
         cond_count_dist(params_b, rule, tol=1e-12)
         with pytest.raises(VerificationError):
             cond_count_dist(params_b, rule, tol=1e-12, verify=True)

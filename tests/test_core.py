@@ -5,15 +5,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twinbeam import (
     ExperimentParams,
     ParameterError,
-    SelectionRule,
     TableSizeError,
     brute_force_joint,
-    cond_count_dist,
     joint_prob,
     joint_table,
     log_binomial,
@@ -185,20 +183,6 @@ def test_joint_table_cell_budget():
     assert "cells" in str(err.value)
 
 
-def test_series_level_budget_is_checked_before_the_loop():
-    # at eta = 1e-9 the photon total has 95% of its mass beyond the series'
-    # level cap, so the series is refused before its first chunk
-    params = ExperimentParams(1.0, 1e-9, 0.1)
-    for build in (
-        lambda: joint_table(params),
-        lambda: cond_count_dist(params, SelectionRule.exact(0)),
-    ):
-        start = time.perf_counter()
-        with pytest.raises(TableSizeError):
-            build()
-        assert time.perf_counter() - start < 0.5
-
-
 def test_quantiles_match_scipy_stats():
     from scipy import stats  # the oracle; the package keeps it off its import path
 
@@ -220,7 +204,8 @@ def test_quantiles_match_scipy_stats():
 
 def test_import_leaves_slow_scipy_modules_out():
     code = ("import sys, twinbeam; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize') "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize', "
+            "'scipy.linalg') "
             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -318,6 +303,7 @@ def test_convergence_guard_is_unreachable_for_valid_params():
 
 
 @given(params=params_st, s=st.integers(0, 30), t=st.integers(0, 30))
+@example(params=ExperimentParams(1.0, 0.5, 5e-324), s=0, t=0)  # the term ratio underflows to 0
 @settings(max_examples=60, deadline=None)
 def test_joint_prob_is_a_probability(params, s, t):
     value = joint_prob(params, s, t)

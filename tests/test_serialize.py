@@ -120,9 +120,13 @@ def test_output_dir_env(tmp_path, monkeypatch):
     assert out.read_text() == "hello\n"
 
 
-# SHA-256 of the stdout of each subcommand, as the per-kind writers that the
-# one codec replaced printed it; the codec must keep every byte.  The sample
-# pins hold the records of the negative-binomial sampler.
+# SHA-256 of the stdout of each subcommand; the codec must keep every byte.
+# The sample pins hold the records of the negative-binomial sampler.  The
+# joint, conditional, marginal and sweep pins (and fig2a below) hold the
+# recurrence kernel and the running-sum marginal.  Against the log-gamma
+# series they moved by at most 4e-16 in probability (8e-13 in fig2a, where
+# the series stopped at tol 1e-6; its cells are within 4e-15 of joint_prob)
+# and 5e-13 in entropy.
 _SMALL = ["--mu", "1", "--eta", "0.5", "--mean", "0.5"]
 _GOLDEN_ARGV = {
     "joint": ["joint", *_SMALL, "--tol", "1e-2"],
@@ -133,16 +137,16 @@ _GOLDEN_ARGV = {
               "--mu", "25", "--tol", "1e-10"],
 }
 _GOLDEN_SHA256 = {
-    ("joint", "csv"): "fcf1a209cf5b5b014832feb96c1861315f23b805f38eb9ce87c65c075aae16b4",
-    ("joint", "json"): "eda9d3be33eadfdc4cfdc8bc9098a24e897ae7f15e9589709c2ca4f2f0efa78c",
-    ("marginal", "csv"): "a2b9de38b70b2aa92e823a07b7116657cf5a27ae67b37ecbc1e30721cb678b92",
-    ("marginal", "json"): "88ed8b307cb1cef4bc348298bc894590b6d12d07da2c12af685beba9bb2a7f1b",
-    ("conditional", "csv"): "fec8a504693e2c5344ec4e7ff52e51f0a1382796f421ad9c044c2abf1870d378",
-    ("conditional", "json"): "79ac67e14ea53d9e6c0d8962de77ab01a25af0c5a9954c3e140468cd50328142",
+    ("joint", "csv"): "86aa2218b2a7876af4e51c238c1c5a7b822965bf81bfbc2035a6124f248e43f9",
+    ("joint", "json"): "453baebfd18811561ca7dfa6676f2e21ef1bfff3fba3c5e076ce04ca581e0a2a",
+    ("marginal", "csv"): "5cd680a786672a100685220217c54048c0f3a4ccd35158a57e21639353c8b8d1",
+    ("marginal", "json"): "a9ad29ede1d0dd36c6431fbf65d84f1507fd25533ca69155553913a037e40125",
+    ("conditional", "csv"): "dbddf2450857be3d80a59923d1d7ea9385c1e6bc68e6935ee6a418d16ea4e46f",
+    ("conditional", "json"): "8004a30f29d9a834395c31a88cdada0f17cc0b6aea91d2905d534ad1d5910649",
     ("sample", "csv"): "52f47ae859188e226dba3919675f94fe290a8ae212ea47b733512a68e2ab138a",
     ("sample", "json"): "1bebc9387457458753836ac6cc013ab8d5ca8ed6f5303ea3ad3833c1241d1287",
-    ("sweep", "csv"): "7b00851aa99521e514fccd2f685f34ba91d1953441a92408fa1da015746ba35d",
-    ("sweep", "json"): "bda289eb422b7e1d8bbdb32812deb26149e14e03d246e26e897c4601510f0d19",
+    ("sweep", "csv"): "ada5144a7f025df8872f2e4861bb031684198a3d751fae2cf3812b7f12f0d92e",
+    ("sweep", "json"): "2c9243ed455f3c7f01e53df4de0d973eba92084b90e546439cf4f2adad3ced0d",
 }
 
 
@@ -163,7 +167,7 @@ def test_reproduce_bytes_are_pinned(tmp_path):
         assert cli.main(["reproduce", "fig2a", "--outdir", str(tmp_path), "--tol", "1e-6"]) == 0
     got = {p.name: _sha256(p.read_text()) for p in (tmp_path / "fig2a").iterdir()}
     assert got == {
-        "joint.csv": "08ff481a0487c25854f93294b94f100f832bbcb217d86a7c72fdc481ae38118d",
+        "joint.csv": "70c88859abe0ff628258d24be878468ba7889cf40ce24166bbae9ef3740b08fe",
         "manifest.json": "3517955b5ea20dbd92f20e5adbb15711e93ccb37f83eab2f53fe4e31426c6d68",
     }
 
