@@ -1,21 +1,20 @@
 """States of one beam prepared by counting the other.
 
 Registering exactly t counts on the trigger beam collapses the signal beam
-onto a photon-number-diagonal state whose total-photon distribution is
+onto a photon-number-diagonal state whose photon total is
 
-    P(gamma | t) = C(gamma+mu-1, gamma) * w_t(gamma),   gamma >= t,
+    gamma = t + NB(t + mu, rr),   rr = M*(1-eta) / (M + mu*eta),
 
-where the per-configuration weight
+and 1 - rr = eta*(mu + M)/(M + mu*eta).  The C(gamma+mu-1, gamma) mode
+configurations of one total share the eigenvalue
 
-    w_t(gamma) = C(gamma, t) * eta**t * rr**gamma
-                 / [ p2(t) * (1 + M/(eta*mu))**mu * (1-eta)**t ],
-    rr = M*(1-eta) / (M + mu*eta),
+    w(gamma) = C(gamma, t) * rr**(gamma-t) * (1-rr)**(t+mu) / C(t+mu-1, t),
 
-is shared by all C(gamma+mu-1, gamma) mode configurations with the same
-total gamma.  rr is the manifestly positive form of the ratio
-(M_t - t*eta)/(M_t + mu*eta): writing M_t - t*eta = M*(1-eta)*(t+mu)/(M+mu)
-avoids the cancellation of the naive difference.  The conditional mean
-count is affine in the trigger value,
+whose logarithm ``weight`` takes from the odds rr/(1-rr), never from a
+difference.  The state keeps gamma = t .. gamma_max, gamma_max - t the
+smallest k whose upper tail I_rr(k+1, t+mu) is <= tol; its level
+probabilities and log degeneracies are exact running sums of O(1)
+log-ratios.  The conditional mean count is affine in the trigger value,
 
     M_t = [t*(M + eta*mu) + mu*M*(1-eta)] / (M + mu),
 
@@ -30,9 +29,17 @@ The count distribution of any selection, P(s | t in A) = p2(s) sum_{t in A}
 P(t | s) / P(A), comes from the recurrence of ``core``: the columns
 t <= max(A) of P(t | s), or for above(t*) the one tail column
 P(count > t* | s), at a cost that does not grow with |A|.  The measurement
-route (binomial thinning of the photon weights of each member state, mixed
-with the weights p2(t)/P(A)) is independent of it; behind ``verify=True``
-the two must agree to 10*tol.
+route thins the photon law: t photons give Bin(t, eta) counts and
+NB(t+mu, rr) photons give NB(t+mu, c) counts, so
+
+    P(s | t) = [Bin(t, eta) * NB(t + mu, c)](s),   c = M*(1-eta) / (mu + M*(2-eta)),
+
+c being the ratio of the recurrence's first row.  ``povm_count_dist``
+evaluates this convolution for one state.  Behind ``verify=True`` the
+p2(t)/P(A)-weighted mixture of them must agree with the Bayes route to
+10*tol; it is refused up front (TableSizeError) when it needs more than
+2*_MAX_CELLS_DEFAULT products, sum_{t in A} (min(t, s_max) + 1)(s_max + 1),
+the budget of the strip.
 """
 
 from __future__ import annotations
@@ -52,8 +59,9 @@ from .core import (
     _assembled,
     _conditional_law,
     _first_true,
-    _log_binom_arr,
+    _exact_cumsum,
     _log_nb_arr,
+    _log_nb_running,
     _marginal_probs,
     _mass_sum,
     _nb_quantile,
@@ -255,22 +263,20 @@ class ConditionalMixture:
 # ---------------------------------------------------------------------------
 
 
-def _weight_constants(params: ExperimentParams, t: int) -> tuple[float, float]:
-    """(log rr, additive constant) so that log w(gamma) =
-    logC(gamma, t) + gamma*log_rr + const."""
+def _ratio(params: ExperimentParams) -> tuple[float, float]:
+    """rr and its odds rr/(1 - rr) = M(1-eta)/(eta(mu + M)); log rr and
+    log(1 - rr) are -log1p of the inverse odds and of the odds."""
     mu, eta, m = params.mu, params.eta, params.mean_counts
+    odds = m * (1.0 - eta) / (eta * (mu + m))
+    return odds / (1.0 + odds), odds
+
+
+def _require_trigger(params: ExperimentParams, t: int) -> None:
     log_p2 = log_marginal(params, t)
     if log_p2 < _LOG_UNDERFLOW:
         raise ConditioningError(
             f"trigger outcome t={t} has vanishing probability (log p2 = {log_p2:.1f})"
         )
-    log_rr = math.log(m) + math.log1p(-eta) - math.log(m + mu * eta)
-    const = (
-        t * (math.log(eta) - math.log1p(-eta))
-        - mu * math.log1p(m / (eta * mu))
-        - log_p2
-    )
-    return log_rr, const
 
 
 def weight(params: ExperimentParams, t: int, gamma: int) -> float:
@@ -285,9 +291,14 @@ def weight(params: ExperimentParams, t: int, gamma: int) -> float:
         if t != 0:
             raise ConditioningError("t > 0 is impossible in vacuum")
         return 1.0 if gamma == 0 else 0.0
-    log_rr, const = _weight_constants(params, t)
+    _require_trigger(params, t)
+    odds = _ratio(params)[1]
+    # C(gamma, t) / C(t+mu-1, t) = prod_{j<t} (gamma - j)/(j + mu)
+    j = np.arange(t, dtype=float)
     log_w = (
-        float(_log_binom_arr(float(gamma), float(t))) + gamma * log_rr + const
+        math.fsum(np.log((gamma - j) / (j + params.mu)).tolist())
+        - (gamma - t) * math.log1p(1.0 / odds)
+        - (t + params.mu) * math.log1p(odds)
     )
     return math.exp(log_w)
 
@@ -299,46 +310,6 @@ def conditional_mean(params: ExperimentParams, t: float) -> float:
     if not (isinstance(t, (int, float)) and math.isfinite(float(t)) and t >= 0):
         raise ParameterError(f"t must be a non-negative real, got {t!r}")
     return (t * (m + eta * mu) + mu * m * (1.0 - eta)) / (m + mu)
-
-
-def _gamma_ratio(params: ExperimentParams, t: int, gamma: float) -> float:
-    mu = params.mu
-    rr = params.mean_counts * (1.0 - params.eta) / (
-        params.mean_counts + mu * params.eta
-    )
-    return rr * (gamma + mu) / (gamma + 1.0 - t)
-
-
-def _gamma_support(params: ExperimentParams, t: int, tol: float) -> int:
-    """Largest total photon number kept: degeneracy-weighted omitted weight
-    <= tol.  Uses the monotone level-probability ratio for the tail bound."""
-    mu = params.mu
-    log_rr, const = _weight_constants(params, t)
-    rr = math.exp(log_rr)
-    if rr >= 1.0:
-        raise ConvergenceError("level ratio bound >= 1; parameters out of domain")
-
-    def log_level(gamma: float) -> float:
-        return (
-            float(_log_binom_arr(gamma + mu - 1.0, gamma))
-            + float(_log_binom_arr(gamma, float(t)))
-            + gamma * log_rr
-            + const
-        )
-
-    # Beyond gamma*, the ratio drops below 1 and the tail is geometric; scan
-    # outward with geometrically growing steps so slow tails (ratio near 1)
-    # still close in logarithmically many probes.
-    gamma_star = max(float(t), (rr * mu + t - 1.0) / (1.0 - rr))
-    gamma = math.ceil(gamma_star) + 1
-    for _ in range(10_000):
-        ratio = _gamma_ratio(params, t, gamma)
-        if ratio < 1.0:
-            tail = math.exp(log_level(float(gamma))) * ratio / (1.0 - ratio)
-            if tail <= tol:
-                return gamma
-        gamma += max(64, gamma // 16)
-    raise ConvergenceError("conditional support did not close")
 
 
 def build_conditional(
@@ -370,37 +341,40 @@ def build_conditional(
 
 def _build_exact(params: ExperimentParams, t: int, tol: float) -> ConditionalState:
     t = _validate_count(t, "t")
-    if params.mean_counts == 0.0:
-        if t != 0:
-            raise ConditioningError("t > 0 is impossible in vacuum")
-        one = np.array([1.0])
-        zero = np.array([0.0])
-        return ConditionalState(
-            t=0, params=params, weights=one, log_weights=zero,
-            log_degeneracies=zero, tail_bound=0.0, M_t=0.0,
-        )
-    log_rr, const = _weight_constants(params, t)
-    gamma_max = _gamma_support(params, t, tol)
-    if gamma_max - t + 1 > _MAX_LEVELS:
+    _require_trigger(params, t)  # in vacuum (rr = 0), t = 0 and one level remain
+    mu = params.mu
+    top = _photon_top(params, t, tol)
+    levels = top - t + 1
+    if levels > _MAX_LEVELS:
         raise TableSizeError(
-            f"the t={t} state needs {gamma_max - t + 1} photon levels for tol={tol}, "
+            f"the t={t} state needs {levels} photon levels for tol={tol}, "
             f"exceeding the budget of {_MAX_LEVELS}"
         )
-    gammas = np.arange(t, gamma_max + 1, dtype=float)
-    log_w = _log_binom_arr(gammas, float(t)) + gammas * log_rr + const
-    log_deg = _log_binom_arr(gammas + params.mu - 1.0, gammas)
+    rr = _ratio(params)[0]
+    log_level = _log_nb_running(t + mu, rr, levels)
+    # log C(gamma+mu-1, gamma) = sum_{j<gamma} log((j+mu)/(j+1)), for gamma >= t
+    log_deg = _exact_cumsum(np.log1p((mu - 1.0) / np.arange(1.0, top + 1)))[t:]
+    log_w = log_level - log_deg
     with np.errstate(under="ignore"):
         weights = np.exp(log_w)
-        norm = _mass_sum(np.exp(log_deg + log_w))
     return ConditionalState(
         t=t,
         params=params,
         weights=weights,
         log_weights=log_w,
         log_degeneracies=log_deg,
-        tail_bound=max(0.0, 1.0 - norm),
+        tail_bound=float(betainc(levels, t + mu, rr)),
         M_t=conditional_mean(params, t),
     )
+
+
+def _photon_top(params: ExperimentParams, t: int, tol: float) -> int:
+    """Largest photon total the exact-t state keeps: t plus the smallest k
+    with P(NB(t+mu, rr) > k) = I_rr(k+1, t+mu) <= tol, searched from the
+    mean (t+mu)*rr/(1-rr)."""
+    rr, odds = _ratio(params)
+    b = t + params.mu
+    return t + _first_true(lambda k: betainc(k + 1.0, b, rr) <= tol, int(b * odds))
 
 
 def _selection(
@@ -449,35 +423,34 @@ def _thinned_support(n: int, eta: float, tol: float) -> int:
     return max(s_max, 4)
 
 
+def _count_law(params: ExperimentParams, t: int, size: int) -> np.ndarray:
+    """P(s | t) for s < size: Bin(t, eta) convolved with NB(t + mu, c)."""
+    mu, eta, m = params.mu, params.eta, params.mean_counts
+    if m == 0.0:  # vacuum: only t = 0 occurs, and it yields no counts
+        return np.eye(1, size)[0]
+    c = m * (1.0 - eta) / (mu + m * (2.0 - eta))
+    k = np.arange(min(t, size - 1) + 1, dtype=float)
+    log_binom = (
+        _exact_cumsum(np.log((t - k[:-1]) / k[1:]))
+        + k * math.log(eta)
+        + (t - k) * math.log1p(-eta)
+    )
+    with np.errstate(under="ignore"):
+        return np.convolve(np.exp(log_binom), np.exp(_log_nb_running(t + mu, c, size)))[:size]
+
+
 def povm_count_dist(
     state: ConditionalState, s_max: int | None = None, tol: float = 1e-12
 ) -> PhotoCountDistribution:
-    """Count distribution via the measurement route: binomial thinning of the
-    degeneracy-weighted photon levels."""
+    """Count distribution via the measurement route: the state's photon law,
+    t + NB(t+mu, rr), binomially thinned in closed form (see the module
+    docstring); by default up to the thinned support of its last level."""
     params = state.params
-    eta = params.eta
+    params.require_lossy()
     tol = _validate_tol(tol)
-    level = state.level_probs()
-    gammas = state.gammas.astype(float)
     if s_max is None:
-        s_max = _thinned_support(int(gammas[-1]), eta, tol)
-    log_eta = math.log(eta)
-    log_om = math.log1p(-eta) if eta < 1.0 else -math.inf
-    probs = np.zeros(s_max + 1)
-    s_all = np.arange(s_max + 1, dtype=float)
-    with np.errstate(under="ignore", invalid="ignore"):
-        for start in range(0, gammas.size, 4096):
-            g = gammas[start : start + 4096]
-            mask = s_all[:, None] <= g[None, :]
-            log_thin = np.where(
-                mask,
-                _log_binom_arr(g[None, :], s_all[:, None])
-                + s_all[:, None] * log_eta
-                + (g[None, :] - s_all[:, None]) * log_om,
-                -np.inf,
-            )
-            probs += np.exp(log_thin) @ level[start : start + 4096]
-    return _assembled(PhotoCountDistribution, probs, tol=tol)
+        s_max = _thinned_support(int(state.gammas[-1]), params.eta, tol)
+    return _assembled(PhotoCountDistribution, _count_law(params, state.t, s_max + 1), tol=tol)
 
 
 def cond_count_dist(
@@ -524,11 +497,17 @@ def _selected_count_dist(
     the other rules sum the accepted columns of P(t | s)."""
     if params.mean_counts == 0.0:  # only t = 0 is possible, and it is accepted
         return PhotoCountDistribution(probs=np.array([1.0]), tail_bound=0.0, tol=tol)
-    s_max = _thinned_support(_gamma_support(params, int(values[-1]), tol), params.eta, tol)
+    s_max = _thinned_support(_photon_top(params, int(values[-1]), tol), params.eta, tol)
     width = rule.threshold + 2 if rule.kind == "above" else int(values[-1]) + 1
     cells = (s_max + width) * (width + 1)  # the sweep's diagonals, stored by t
     if cells > 2 * _MAX_CELLS_DEFAULT:
         raise TableSizeError(f"{rule.describe()} needs {cells} recurrence cells")
+    if verify:
+        products = int((np.minimum(values, s_max) + 1).sum()) * (s_max + 1)
+        if products > 2 * _MAX_CELLS_DEFAULT:
+            raise TableSizeError(
+                f"verifying {rule.describe()} needs {products} convolution products"
+            )
     law = _conditional_law(params, s_max + 1, width, tail=rule.kind == "above")
     given = law[:, -1] if rule.kind == "above" else law[:, values].sum(axis=1)
     bayes = _assembled(
@@ -537,8 +516,7 @@ def _selected_count_dist(
     if verify:
         other = np.zeros(s_max + 1)
         for t, frac in zip(values.tolist(), p2 / success):
-            state = _build_exact(params, t, tol)
-            other += frac * povm_count_dist(state, s_max=s_max, tol=tol).probs
+            other += frac * _count_law(params, t, s_max + 1)
         gap = float(np.abs(other - bayes.probs).max())
         if gap > 10.0 * tol:
             raise VerificationError(

@@ -431,18 +431,26 @@ def joint_table(
 def _log_nb_running(mu: float, ratio: float, n: int) -> np.ndarray:
     """Log pmf of NB(mu, ratio) at k = 0..n-1.
 
-    mu*log(1 - ratio) plus a running sum of the O(1) log-ratios
+    mu*log(1 - ratio) plus an exact running sum of the O(1) log-ratios
     log((j + mu) * ratio / (j + 1)).  Unlike log-gamma differences at large
-    mu, this loses no digits to cancellation.  Rounding does not accumulate
-    along the sum: each step splits into a multiple of 2**-32, whose sums
-    are exact below 2**53 units, and a remainder under 2**-33.
+    mu, this loses no digits to cancellation.
     """
     steps = np.log((np.arange(n - 1) + mu) * ratio / np.arange(1.0, n))
+    return mu * math.log1p(-ratio) + _exact_cumsum(steps)
+
+
+def _exact_cumsum(steps: np.ndarray) -> np.ndarray:
+    """0 followed by the running sums of ``steps``.
+
+    Rounding does not accumulate along the sum: each step splits into a
+    multiple of 2**-32, whose sums are exact below 2**53 units, and a
+    remainder under 2**-33.
+    """
     coarse = np.rint(np.ldexp(steps, 32))
     fine = steps - np.ldexp(coarse, -32)
-    out = np.zeros(n)
+    out = np.zeros(steps.size + 1)
     out[1:] = np.ldexp(np.cumsum(coarse), -32) + np.cumsum(fine)
-    return mu * math.log1p(-ratio) + out
+    return out
 
 
 def _log_nb_arr(mu: float, m: float, t) -> np.ndarray:
@@ -481,9 +489,12 @@ def marginal(params: ExperimentParams, t: int) -> float:
 
 
 def marginal_dist(params: ExperimentParams, tol: float = 1e-12) -> PhotoCountDistribution:
-    """Single-beam count distribution truncated to omitted mass <= tol."""
+    """Single-beam count distribution truncated to omitted mass <= tol.
+    Refuses a support of more than _MAX_CELLS_DEFAULT counts."""
     tol = _validate_tol(tol)
     k = _nb_quantile(params, tol)
+    if k + 1 > _MAX_CELLS_DEFAULT:
+        raise TableSizeError(f"marginal needs {k + 1} counts, over the {_MAX_CELLS_DEFAULT} budget")
     return _assembled(PhotoCountDistribution, _marginal_probs(params, k + 1), tol=tol)
 
 

@@ -15,12 +15,11 @@ class ConvergenceError(TwinbeamError):
     Raised when the ``joint_prob`` oracle series does not meet its stopping
     bound within its level cap, or when assembled masses or member weights
     exceed their exact totals beyond rounding.  The joint-table, marginal
-    and conditional count-law kernels no longer raise it on the validated
-    domain (mu >= 1, 0 < eta < 1, M >= 0); the measurement route behind
-    ``verify=True`` still can at mu near 1e6, where its photon-level weights
-    lose digits in log-gamma differences.  Work that cannot finish within a
-    budget is refused up front with TableSizeError.  It always replaces a
-    result, never accompanies a wrong one.
+    and conditional count-law kernels and the measurement route behind
+    ``verify=True`` do not raise it on the validated domain (mu >= 1,
+    0 < eta < 1, M >= 0).  Work that cannot finish within a budget is
+    refused up front with TableSizeError.  It always replaces a result,
+    never accompanies a wrong one.
     """
 
 

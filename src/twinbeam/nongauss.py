@@ -21,7 +21,11 @@ throughout; delta_R is a ratio of entropies and therefore base-invariant.
 Everything here is exact in the stated formulas; the only approximation is
 the truncated photon support, whose effect is controlled through the state's
 tail bound (warning above 1e-9, hard error above 1e-6: entropy tails close
-more slowly than mass and silent truncation would inflate delta_R).
+more slowly than mass and silent truncation would inflate delta_R).  The
+levels a state omits each carry -ln w, which grows with the photon number,
+so ``nongauss_report`` builds its state with omitted mass
+<= min(tol, 1e-9) * 1e-8: the entropy left out then stays below the
+rounding of S_state.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import ConditionalState, build_conditional, SelectionRule
+from .core import _validate_tol
 from .errors import InfeasibleConstraintError, ParameterError, TailBoundError
 from .params import ExperimentParams
 
@@ -146,8 +151,10 @@ def entropy_conditional(state: ConditionalState) -> float:
 def nongauss_report(
     params: ExperimentParams, t: int, tol: float = 1e-12
 ) -> NonGaussReport:
-    """Entropy gap and its Fock-normalised ratio for the exact-t state."""
-    state = build_conditional(params, SelectionRule.exact(t), tol=tol)
+    """Entropy gap and its Fock-normalised ratio for the exact-t state, built
+    with omitted mass <= min(tol, 1e-9) * 1e-8 (see the module docstring)."""
+    tol = _validate_tol(tol)
+    state = build_conditional(params, SelectionRule.exact(t), tol=min(tol, _TAIL_WARN) * 1e-8)
     assert isinstance(state, ConditionalState)
     s_state = entropy_conditional(state)
     nbar = state.M_t / (params.eta * params.mu)

@@ -209,6 +209,25 @@ def test_dual_route_agreement(params_a):
         assert np.abs(bayes.probs - other.probs).max() <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "point,t", [((2.3, 0.35, 2.1), 4), ((197.0, 0.06, 13.4), 13)], ids=["small-mu", "A"]
+)
+def test_stored_state_thins_to_the_count_law(point, t):
+    # povm_count_dist works from the closed-form count law, not from the
+    # stored levels; thinning those with exact binomials must agree with it
+    params = ExperimentParams(*point)
+    state = build_conditional(params, SelectionRule.exact(t), tol=1e-12)
+    dist = povm_count_dist(state)
+    eta = params.eta
+    for s in range(len(dist)):
+        thinned = math.fsum(
+            p * math.comb(g, s) * eta**s * (1.0 - eta) ** (g - s)
+            for g, p in zip(state.gammas.tolist(), state.level_probs().tolist())
+            if g >= s
+        )
+        assert dist.probs[s] == pytest.approx(thinned, abs=1e-12)
+
+
 def test_verify_flag_runs_clean(params_b):
     dist = cond_count_dist(params_b, SelectionRule.exact(19), tol=1e-12, verify=True)
     assert dist.mean == pytest.approx(conditional_mean(params_b, 19), abs=1e-8)

@@ -19,13 +19,18 @@ from twinbeam import (
     SelectionRule,
     TableSizeError,
     TwinbeamError,
+    VerificationError,
     build_conditional,
     cond_count_dist,
+    conditional_mean,
     joint_prob,
     joint_table,
     log_marginal,
     marginal_dist,
+    weight,
 )
+
+from twinbeam.core import _MAX_CELLS_DEFAULT as _MAX_CELLS
 
 from conftest import PARAMS_A, PARAMS_B
 
@@ -62,11 +67,12 @@ def _check_joint(table) -> None:
 
 def _timed(call):
     """The call's result, or None when it raised a TwinbeamError; either way
-    within the wall budget, and never a ConvergenceError."""
+    within the wall budget, and never a ConvergenceError or a
+    VerificationError."""
     start = time.perf_counter()
     try:
         out = call()
-    except ConvergenceError:
+    except (ConvergenceError, VerificationError):
         raise
     except TwinbeamError:
         out = None
@@ -102,9 +108,19 @@ def test_whole_domain_returns_valid_results_or_refuses_quickly(params, rule):
     if dist is not None:
         _check_mass(dist)
         assert np.abs(dist.probs - _nb_pmf(params, len(dist))).max() <= 1e-10
-    dist = _timed(lambda: cond_count_dist(params, rule))
+    dist = _timed(lambda: cond_count_dist(params, rule, verify=True))
     if dist is not None:
         _check_mass(dist)
+        _check_mean(params, rule, dist)
+
+
+def _check_mean(params, rule, dist) -> None:
+    """The count mean equals the closed-form mixture mean (M_t at E[t | A])."""
+    if rule.kind == "exact":
+        mean = conditional_mean(params, rule.threshold)
+    else:
+        mean = build_conditional(params, rule).mean_counts()
+    assert dist.mean == pytest.approx(mean, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -239,3 +255,71 @@ def test_huge_counts_take_the_gamma_form():
     ref = (math.lgamma(t + mu) - math.lgamma(mu) - math.lgamma(t + 1.0)
            + t * math.log(m / (m + mu)) + mu * math.log(mu / (m + mu)))
     assert value == pytest.approx(ref, rel=1e-12)
+
+
+def test_large_mu_verify_passes():
+    # the log-gamma photon weights assembled a mass of 1.0000000005 here
+    params = ExperimentParams(1e6, 0.3, 3.0)
+    dist = cond_count_dist(params, SelectionRule.exact(2), verify=True)
+    _check_mass(dist)
+    _check_mean(params, SelectionRule.exact(2), dist)
+
+
+@pytest.mark.parametrize(
+    "point,rule",
+    [
+        # the log-gamma member weights assembled a mass above 1 beyond
+        # rounding (ConvergenceError), at once or after 10 s of members
+        ((2663.68, 1.1017e-4, 12.36), SelectionRule.exact(37)),
+        ((2.2629, 1.2270e-4, 483.84), SelectionRule.below(38)),
+        # over 20 s of member states and thinning kernels
+        ((7.4827, 6.4727e-5, 4.5591), SelectionRule.above(7)),
+        # over 20 s, then an unbounded loop: 3e11 convolution products now,
+        # refused up front
+        ((4.0049, 1.9553e-5, 840.40), SelectionRule.above(25)),
+    ],
+    ids=["exact-large-mu", "below-tiny-eta", "above-slow", "above-unbounded"],
+)
+def test_verify_returns_or_refuses_quickly(point, rule):
+    params = ExperimentParams(*point)
+    dist = _timed(lambda: cond_count_dist(params, rule, verify=True))
+    if dist is not None:
+        _check_mass(dist)
+        _check_mean(params, rule, dist)
+
+
+def test_verify_budget_is_checked_before_the_loop():
+    params = ExperimentParams(4.0049, 1.9553e-5, 840.40)
+    start = time.perf_counter()
+    with pytest.raises(TableSizeError, match="convolution products"):
+        cond_count_dist(params, SelectionRule.above(25), verify=True)
+    assert time.perf_counter() - start < 0.1
+    # the Bayes route alone stays within its own budget
+    _check_mass(_timed(lambda: cond_count_dist(params, SelectionRule.above(25))))
+
+
+def test_marginal_support_budget():
+    # (1, 0.3, 1e7) needs 2.76e8 counts; the budget refuses it up front
+    start = time.perf_counter()
+    with pytest.raises(TableSizeError):
+        marginal_dist(ExperimentParams(1.0, 0.3, 1e7))
+    assert time.perf_counter() - start < 0.1
+    dist = marginal_dist(ExperimentParams(1.0, 0.3, 1e5))
+    assert 2_700_000 < len(dist) < _MAX_CELLS
+    _check_mass(dist)
+
+
+def test_weight_at_large_mu_matches_a_decimal_sum():
+    # w = C(gamma, t) rr**(gamma-t) (1-rr)**(t+mu) / C(t+mu-1, t) in 40
+    # digits, with 1 - rr formed directly and C(t+mu-1, t) as a product
+    params = ExperimentParams(1e6, 0.3, 3.0)
+    t, gamma = 2, 9
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        mu, eta, m = (Decimal(v) for v in (params.mu, params.eta, params.mean_counts))
+        rr = m * (1 - eta) / (m + mu * eta)
+        rest = eta * (mu + m) / (m + mu * eta)
+        ref = math.comb(gamma, t) * rr ** (gamma - t) * ((t + mu) * rest.ln()).exp()
+        for j in range(t):
+            ref = ref * (j + 1) / (j + mu)
+    assert weight(params, t, gamma) == pytest.approx(float(ref), rel=1e-13)

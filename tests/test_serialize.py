@@ -126,7 +126,10 @@ def test_output_dir_env(tmp_path, monkeypatch):
 # recurrence kernel and the running-sum marginal.  Against the log-gamma
 # series they moved by at most 4e-16 in probability (8e-13 in fig2a, where
 # the series stopped at tol 1e-6; its cells are within 4e-15 of joint_prob)
-# and 5e-13 in entropy.
+# and 5e-13 in entropy.  The conditional and sweep pins hold the exact-t
+# state as t + NB(t+mu, rr): the conditional support ends where that tail
+# drops to tol (8 rows, not 48; every kept cell unchanged) and the sweep's
+# entropies agree with a 40-digit sum within 1e-14.
 _SMALL = ["--mu", "1", "--eta", "0.5", "--mean", "0.5"]
 _GOLDEN_ARGV = {
     "joint": ["joint", *_SMALL, "--tol", "1e-2"],
@@ -141,12 +144,12 @@ _GOLDEN_SHA256 = {
     ("joint", "json"): "453baebfd18811561ca7dfa6676f2e21ef1bfff3fba3c5e076ce04ca581e0a2a",
     ("marginal", "csv"): "5cd680a786672a100685220217c54048c0f3a4ccd35158a57e21639353c8b8d1",
     ("marginal", "json"): "a9ad29ede1d0dd36c6431fbf65d84f1507fd25533ca69155553913a037e40125",
-    ("conditional", "csv"): "dbddf2450857be3d80a59923d1d7ea9385c1e6bc68e6935ee6a418d16ea4e46f",
-    ("conditional", "json"): "8004a30f29d9a834395c31a88cdada0f17cc0b6aea91d2905d534ad1d5910649",
+    ("conditional", "csv"): "db4bee571730ffc2082707ac44b48b0cdb6b40de12d68a9c930a9784c026c185",
+    ("conditional", "json"): "6ee0eee98fc8a2a4c7f45c9cf980f87eadacb96810977d02caf4e59c08346537",
     ("sample", "csv"): "52f47ae859188e226dba3919675f94fe290a8ae212ea47b733512a68e2ab138a",
     ("sample", "json"): "1bebc9387457458753836ac6cc013ab8d5ca8ed6f5303ea3ad3833c1241d1287",
-    ("sweep", "csv"): "ada5144a7f025df8872f2e4861bb031684198a3d751fae2cf3812b7f12f0d92e",
-    ("sweep", "json"): "2c9243ed455f3c7f01e53df4de0d973eba92084b90e546439cf4f2adad3ced0d",
+    ("sweep", "csv"): "a6bbfe30730031c69fd48d71934b9b577b55219e18f184a3162693f5da06b72c",
+    ("sweep", "json"): "cf7aa9c1c535848568fea802808cbbd0165fb6c3aa57ea449806b629fe7f21e8",
 }
 
 
