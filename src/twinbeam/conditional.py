@@ -12,9 +12,10 @@ configurations of one total share the eigenvalue
 
 whose logarithm ``weight`` takes from the odds rr/(1-rr), never from a
 difference.  The state keeps gamma = t .. gamma_max, gamma_max - t the
-smallest k whose upper tail I_rr(k+1, t+mu) is <= tol; its level
-probabilities and log degeneracies are exact running sums of O(1)
-log-ratios.  The conditional mean count is affine in the trigger value,
+smallest k whose upper tail I_rr(k+1, t+mu) is <= tol, and stores only the
+log of its photon-total law, an exact running sum of O(1) log-ratios; the
+eigenvalues divide the degeneracies out of it when they are first read.
+The conditional mean count is affine in the trigger value,
 
     M_t = [t*(M + eta*mu) + mu*M*(1-eta)] / (M + mu),
 
@@ -58,8 +59,9 @@ from .core import (
     PhotoCountDistribution,
     _assembled,
     _conditional_law,
-    _first_true,
     _exact_cumsum,
+    _first_true,
+    _freeze,
     _log_nb_arr,
     _log_nb_running,
     _marginal_probs,
@@ -151,16 +153,10 @@ class SelectionRule:
         return cls(kind="set", values=tuple(values))
 
     def contains(self, t: int) -> bool:
-        if self.kind == "exact":
-            return t == self.threshold
-        if self.kind == "above":
-            return t > self.threshold
-        if self.kind == "below":
-            return t < self.threshold
-        return t in self.values  # type: ignore[operator]
+        return bool(self.mask(t))
 
     def mask(self, t: np.ndarray) -> np.ndarray:
-        """``contains`` over an array of trigger counts, elementwise."""
+        """Whether each trigger count in ``t`` is accepted."""
         t = np.asarray(t)
         if self.kind == "exact":
             return t == self.threshold
@@ -179,31 +175,28 @@ class SelectionRule:
 
 @dataclass(frozen=True)
 class ConditionalState:
-    """Spectral data of the state prepared by an exact trigger count t.
+    """Photon-total law of the state prepared by an exact trigger count t.
 
-    ``weights[i]`` is the eigenvalue shared by every mode configuration with
-    total photon number ``gamma_min + i``; ``log_degeneracies`` caches the
-    log multiplicities C(gamma+mu-1, gamma).  M_t is the closed-form mean
-    count of the state.
+    ``log_levels[i]`` is the log probability of total photon number
+    ``gamma_min + i``.  The state is uniform over the C(gamma+mu-1, gamma)
+    mode configurations of one total, so ``weights[i]``, the eigenvalue
+    they share, is that probability over the degeneracy.  M_t is the
+    closed-form mean count of the state.
     """
 
     t: int
     params: ExperimentParams
-    weights: np.ndarray
-    log_weights: np.ndarray
-    log_degeneracies: np.ndarray
+    log_levels: np.ndarray
     tail_bound: float
     M_t: float
 
     def __post_init__(self) -> None:
-        for name in ("weights", "log_weights", "log_degeneracies"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.weights.size == 0:
-            raise ParameterError("conditional state needs at least one weight")
-        if np.any(self.weights < 0.0):
-            raise ParameterError("weights must be >= 0")
+        arr = _freeze(self.log_levels)
+        object.__setattr__(self, "log_levels", arr)
+        if arr.size == 0:
+            raise ParameterError("conditional state needs at least one level")
+        if not np.all(arr <= 0.0):
+            raise ParameterError("log level probabilities must be <= 0")
 
     @property
     def gamma_min(self) -> int:
@@ -211,12 +204,21 @@ class ConditionalState:
 
     @property
     def gammas(self) -> np.ndarray:
-        return self.t + np.arange(self.weights.size)
+        return self.t + np.arange(self.log_levels.size)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Eigenvalue per level: its probability over C(gamma+mu-1, gamma),
+        the log of which is the running sum of log((j+mu)/(j+1)), j < gamma."""
+        mu, top = self.params.mu, int(self.gammas[-1])
+        log_deg = _exact_cumsum(np.log1p((mu - 1.0) / np.arange(1.0, top + 1)))[self.t:]
+        with np.errstate(under="ignore"):
+            return _freeze(np.exp(self.log_levels - log_deg))
 
     def level_probs(self) -> np.ndarray:
-        """Degeneracy-weighted eigenvalues: the total-photon distribution."""
+        """The total-photon distribution."""
         with np.errstate(under="ignore"):
-            return np.exp(self.log_degeneracies + self.log_weights)
+            return np.exp(self.log_levels)
 
     def norm(self) -> float:
         return _mass_sum(self.level_probs())
@@ -320,9 +322,9 @@ def build_conditional(
     """Construct the state selected by ``rule``.
 
     exact(t) yields a single ConditionalState with support gamma = t ..
-    gamma_max, gamma_max chosen so the degeneracy-weighted omitted weight is
-    <= tol.  Set-like rules yield the renormalised mixture over accepted
-    trigger values together with the preparation success probability.
+    gamma_max, gamma_max chosen so the omitted photon mass is <= tol.
+    Set-like rules yield the renormalised mixture over accepted trigger
+    values together with the preparation success probability.
     """
     params.require_lossy()
     tol = _validate_tol(tol)
@@ -351,18 +353,10 @@ def _build_exact(params: ExperimentParams, t: int, tol: float) -> ConditionalSta
             f"exceeding the budget of {_MAX_LEVELS}"
         )
     rr = _ratio(params)[0]
-    log_level = _log_nb_running(t + mu, rr, levels)
-    # log C(gamma+mu-1, gamma) = sum_{j<gamma} log((j+mu)/(j+1)), for gamma >= t
-    log_deg = _exact_cumsum(np.log1p((mu - 1.0) / np.arange(1.0, top + 1)))[t:]
-    log_w = log_level - log_deg
-    with np.errstate(under="ignore"):
-        weights = np.exp(log_w)
     return ConditionalState(
         t=t,
         params=params,
-        weights=weights,
-        log_weights=log_w,
-        log_degeneracies=log_deg,
+        log_levels=_log_nb_running(t + mu, rr, levels),
         tail_bound=float(betainc(levels, t + mu, rr)),
         M_t=conditional_mean(params, t),
     )

@@ -436,20 +436,24 @@ def _log_nb_running(mu: float, ratio: float, n: int) -> np.ndarray:
     mu, this loses no digits to cancellation.
     """
     steps = np.log((np.arange(n - 1) + mu) * ratio / np.arange(1.0, n))
-    return mu * math.log1p(-ratio) + _exact_cumsum(steps)
+    return _exact_cumsum(steps, mu * math.log1p(-ratio))
 
 
-def _exact_cumsum(steps: np.ndarray) -> np.ndarray:
-    """0 followed by the running sums of ``steps``.
+def _exact_cumsum(steps: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """``start`` followed by ``start`` plus the running sums of ``steps``.
 
     Rounding does not accumulate along the sum: each step splits into a
     multiple of 2**-32, whose sums are exact below 2**53 units, and a
-    remainder under 2**-33.
+    remainder under 2**-33.  The sums are taken in place (3e7 steps near
+    the level budget of a state).
     """
     coarse = np.rint(np.ldexp(steps, 32))
     fine = steps - np.ldexp(coarse, -32)
-    out = np.zeros(steps.size + 1)
-    out[1:] = np.ldexp(np.cumsum(coarse), -32) + np.cumsum(fine)
+    out = np.empty(steps.size + 1)
+    out[0] = start
+    np.ldexp(np.cumsum(coarse, out=coarse), -32, out=out[1:])
+    out[1:] += np.cumsum(fine, out=fine)
+    out[1:] += start
     return out
 
 

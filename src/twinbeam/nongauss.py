@@ -5,12 +5,15 @@ reference is the Gaussian state with the same first and second moments.  For
 a photon-number-diagonal state on mu modes with nbar mean photons per mode,
 the reference is the factorised thermal state, with entropy
 
-    S_ref = mu * [ (nbar+1)*ln(nbar+1) - nbar*ln(nbar) ],   nbar = M_t/(eta*mu).
+    S_ref = mu * [ ln(1+nbar) + nbar*ln(1+1/nbar) ],   nbar = M_t/(eta*mu).
 
-The state entropy is the degeneracy-weighted Shannon sum over the eigenvalue
-per photon level,
-
-    S_state = - sum_gamma C(gamma+mu-1, gamma) * w(gamma) * ln w(gamma).
+The exact-t state and its reference are both uniform over the
+C(gamma+mu-1, gamma) mode configurations of one photon total gamma, and
+their means agree, so the degeneracies cancel: delta is the relative
+entropy sum_gamma P ln(P/Q) of the state's photon-total law
+P = t + NB(t+mu, rr) to the reference's Q = NB(mu, nbar/(1+nbar)), and
+S_state = S_ref - delta.  ln(P/Q) is an exact running sum over the state's
+levels, so delta keeps its digits where the entropies are 1e5 times larger.
 
 delta is normalised by its value for the maximally nonGaussian state of the
 same mean energy and mode count, a factorised Fock state; that state has
@@ -18,14 +21,10 @@ zero entropy and the same thermal reference, so delta_max = S_ref and
 delta_R = delta / S_ref = 1 - S_state/S_ref.  Natural logarithms are used
 throughout; delta_R is a ratio of entropies and therefore base-invariant.
 
-Everything here is exact in the stated formulas; the only approximation is
-the truncated photon support, whose effect is controlled through the state's
-tail bound (warning above 1e-9, hard error above 1e-6: entropy tails close
-more slowly than mass and silent truncation would inflate delta_R).  The
-levels a state omits each carry -ln w, which grows with the photon number,
-so ``nongauss_report`` builds its state with omitted mass
-<= min(tol, 1e-9) * 1e-8: the entropy left out then stays below the
-rounding of S_state.
+The only approximation is the truncated photon support, controlled through
+the state's tail bound (warning above 1e-9, hard error above 1e-6).
+``nongauss_report`` builds its state with omitted mass
+<= min(tol, 1e-9) * 1e-8, which leaves delta unchanged to rounding.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import ConditionalState, build_conditional, SelectionRule
-from .core import _validate_tol
+from .conditional import ConditionalState, SelectionRule, _ratio, build_conditional
+from .core import _exact_cumsum, _validate_tol
 from .errors import InfeasibleConstraintError, ParameterError, TailBoundError
 from .params import ExperimentParams
 
@@ -97,40 +96,31 @@ def thermal_entropy(nbar: float, mu: float = 1.0) -> float:
     nbar = float(nbar)
     if nbar == 0.0:
         return 0.0
-    single = (nbar + 1.0) * math.log1p(nbar) - nbar * math.log(nbar)
+    # (nbar+1) ln(nbar+1) - nbar ln(nbar), without cancellation at large nbar
+    single = math.log1p(nbar) + nbar * math.log1p(1.0 / nbar)
     return float(mu) * single
 
 
-def entropy_tail_bound(state: ConditionalState) -> float:
-    """Upper bound on the entropy carried by the truncated photon tail.
-
-    Level probabilities beyond the stored support decay at least
-    geometrically with the local ratio r, while -ln w grows at most linearly
-    with rate -ln rr per level; summing the geometric series gives the bound.
-    """
-    if state.tail_bound == 0.0 or state.weights.size == 0:
-        return 0.0
-    params = state.params
-    mu, eta, m = params.mu, params.eta, params.mean_counts
-    if m == 0.0:
-        return 0.0
-    rr = m * (1.0 - eta) / (m + mu * eta)
-    gamma_end = float(state.gammas[-1])
-    r = rr * (gamma_end + mu) / (gamma_end + 1.0 - state.t)
-    if r >= 1.0:
-        return math.inf
-    p_end = float(state.level_probs()[-1])
-    neg_log_w = -float(state.log_weights[-1])
-    step = -math.log(rr)
-    geo = r / (1.0 - r)
-    return p_end * (neg_log_w * geo + step * r / (1.0 - r) ** 2)
+def _log_ratio(state: ConditionalState) -> tuple[np.ndarray, float]:
+    """l(gamma) = ln[P(gamma)/Q(gamma)] over the state's levels, and its
+    constant step c.  With odds = rr/(1-rr) and d = nbar - odds =
+    t*(1+odds)/mu, l(t) = (t+mu)*log1p(t/mu) - t*ln(nbar) - ln C(t+mu-1, t)
+    and each level adds c + log1p(t/(gamma+1-t)), c = log1p(-d/(nbar*(1+odds))):
+    no term is a difference of near-equal numbers."""
+    t, mu = state.t, state.params.mu
+    odds = _ratio(state.params)[1]
+    d = t * (1.0 + odds) / mu
+    nbar = odds + d
+    log_binom = math.fsum(np.log1p((mu - 1.0) / np.arange(1.0, t + 1)).tolist())
+    l_t = (t + mu) * math.log1p(t / mu) - t * math.log(nbar) - log_binom
+    c = math.log1p(-d / (nbar * (1.0 + odds)))
+    steps = np.log1p(t / np.arange(1.0, state.log_levels.size))
+    steps += c
+    return _exact_cumsum(steps, l_t), c
 
 
-def entropy_conditional(state: ConditionalState) -> float:
-    """Degeneracy-weighted eigenvalue entropy of the state, in nats.
-
-    Warns when the stored tail bound exceeds 1e-9 and refuses above 1e-6.
-    """
+def _entropy_gap(state: ConditionalState) -> tuple[float, float]:
+    """delta = sum_gamma P(gamma) l(gamma) and S_ref, under the tail policy."""
     if state.tail_bound > _TAIL_FAIL:
         raise TailBoundError(
             f"tail bound {state.tail_bound:.3e} too large for an entropy sum; "
@@ -139,13 +129,41 @@ def entropy_conditional(state: ConditionalState) -> float:
     if state.tail_bound > _TAIL_WARN:
         warnings.warn(
             f"entropy computed on a state with tail bound {state.tail_bound:.3e}; "
-            f"the result may be low by up to {entropy_tail_bound(state):.3e}",
+            f"the result may be off by up to {entropy_tail_bound(state):.3e}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    level = state.level_probs()
-    mask = level > 0.0
-    return float(-np.dot(level[mask], state.log_weights[mask]))
+    params = state.params
+    s_ref = thermal_entropy(state.M_t / (params.eta * params.mu), params.mu)
+    if state.t == 0:  # the state is thermal: l = 0
+        return 0.0, s_ref
+    log_ratio = _log_ratio(state)[0]  # before P: the running sum's work arrays and P never coexist
+    return float(state.level_probs() @ log_ratio), s_ref
+
+
+def entropy_tail_bound(state: ConditionalState) -> float:
+    """Upper bound on sum P(gamma) |l(gamma)| over the truncated levels.
+
+    Their probabilities decay at least geometrically with the local ratio r,
+    and |l| grows by at most max(-c, log1p(t/(gamma_end+1-t))) per level;
+    summing the geometric series gives the bound.
+    """
+    if state.tail_bound == 0.0 or state.t == 0:
+        return 0.0
+    t, gamma_end = state.t, float(state.gammas[-1])
+    r = _ratio(state.params)[0] * (gamma_end + state.params.mu) / (gamma_end + 1.0 - t)
+    if r >= 1.0:
+        return math.inf
+    log_ratio, c = _log_ratio(state)
+    step = max(-c, math.log1p(t / (gamma_end + 1.0 - t)))
+    return math.exp(state.log_levels[-1]) * r / (1.0 - r) * (abs(log_ratio[-1]) + step / (1.0 - r))
+
+
+def entropy_conditional(state: ConditionalState) -> float:
+    """Von Neumann entropy of the state in nats, S_ref - delta.  Warns when
+    the stored tail bound exceeds 1e-9 and refuses above 1e-6."""
+    delta, s_ref = _entropy_gap(state)
+    return s_ref - delta
 
 
 def nongauss_report(
@@ -156,19 +174,11 @@ def nongauss_report(
     tol = _validate_tol(tol)
     state = build_conditional(params, SelectionRule.exact(t), tol=min(tol, _TAIL_WARN) * 1e-8)
     assert isinstance(state, ConditionalState)
-    s_state = entropy_conditional(state)
-    nbar = state.M_t / (params.eta * params.mu)
-    s_ref = thermal_entropy(nbar, params.mu)
-    delta = s_ref - s_state
-    delta_r = delta / s_ref if s_ref > 0.0 else 0.0
+    delta, s_ref = _entropy_gap(state)
     return NonGaussReport(
-        t=t,
-        params=params,
-        S_state=s_state,
-        S_ref=s_ref,
-        delta=delta,
-        delta_R=delta_r,
-        nbar_per_mode=nbar,
+        t=t, params=params, S_state=s_ref - delta, S_ref=s_ref, delta=delta,
+        delta_R=delta / s_ref if s_ref > 0.0 else 0.0,
+        nbar_per_mode=state.M_t / (params.eta * params.mu),
     )
 
 
@@ -209,8 +219,7 @@ def sweep(
     values = list(values)
     if not values:
         raise ParameterError("sweep grid must be non-empty")
-    needed = set(SWEEP_AXES) - {axis}
-    missing = needed - set(fixed)
+    missing = set(SWEEP_AXES) - {axis} - set(fixed)
     if missing:
         raise ParameterError(f"fixed map is missing {sorted(missing)}")
     rows = []
@@ -225,15 +234,6 @@ def sweep(
         t = point["t"]
         if not float(t).is_integer():
             raise ParameterError(f"t must be an integer count, got {t}")
-        report = nongauss_report(params, int(t), tol=tol)
-        rows.append(
-            SweepRow(
-                axis=axis,
-                value=float(v),
-                delta=report.delta,
-                delta_R=report.delta_R,
-                S_state=report.S_state,
-                S_ref=report.S_ref,
-            )
-        )
+        rep = nongauss_report(params, int(t), tol=tol)
+        rows.append(SweepRow(axis, float(v), rep.delta, rep.delta_R, rep.S_state, rep.S_ref))
     return rows

@@ -146,7 +146,7 @@ def test_nongauss_stdout_stays_json(capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main([*argv, *extra]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "90bd6f5319f194c40973ebf154001730a4480de9131cd40955b032ba39b354b4")
+            "3bc53be76915d18a9be1b5027571cef9354f1e489050959cd2e2f6c6743055c3")
 
 
 def test_state_out_refuses_a_csv_path(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ def test_thermal_entropy_against_series_oracle(params_a):
     )
 
 
+def test_thermal_entropy_keeps_its_digits_at_large_nbar():
+    # at (1, 1e-6, 0.1), t = 0, nbar = 90909: (nbar+1) ln(nbar+1) - nbar ln(nbar)
+    # subtracts two terms near 1e6; the reference is a 40-digit mpmath value
+    rep = nongauss_report(ExperimentParams(1.0, 1e-6, 0.1), 0)
+    assert rep.S_ref == pytest.approx(12.41761978515073706484497386200305456546, abs=1e-14)
+    # the t = 0 state is the thermal reference itself
+    assert abs(rep.delta_R) <= 1e-15
+
+
 def test_thermal_entropy_rejects_bad_input():
     with pytest.raises(ParameterError):
         thermal_entropy(-0.5, 1.0)
@@ -69,15 +79,9 @@ def test_thermal_entropy_rejects_bad_input():
 
 
 def test_entropy_pure_state_is_zero():
-    state = ConditionalState(
-        t=0,
-        params=ExperimentParams(1.0, 0.5, 1.0),
-        weights=np.array([1.0]),
-        log_weights=np.array([0.0]),
-        log_degeneracies=np.array([0.0]),
-        tail_bound=0.0,
-        M_t=0.0,
-    )
+    # in vacuum the only trigger outcome, t = 0, leaves the vacuum
+    state = build_conditional(ExperimentParams(1.0, 0.5, 0.0), SelectionRule.exact(0))
+    assert state.log_levels.tolist() == [0.0]
     assert entropy_conditional(state) == 0.0
 
 
@@ -116,9 +120,7 @@ def test_entropy_tail_bound_covers_true_deficit(params_b):
     cum = np.cumsum(level)
     cut = int(np.searchsorted(cum, 1.0 - 1e-7)) + 1
     chopped = ConditionalState(
-        t=ref.t, params=params_b,
-        weights=ref.weights[:cut], log_weights=ref.log_weights[:cut],
-        log_degeneracies=ref.log_degeneracies[:cut],
+        t=ref.t, params=params_b, log_levels=ref.log_levels[:cut],
         tail_bound=max(0.0, 1.0 - float(cum[cut - 1])), M_t=ref.M_t,
     )
     with warnings.catch_warnings():
@@ -131,20 +133,81 @@ def test_entropy_tail_bound_covers_true_deficit(params_b):
 def test_entropy_tail_policy(params_a):
     state = build_conditional(params_a, SelectionRule.exact(10), tol=1e-12)
     loose = ConditionalState(
-        t=state.t, params=state.params, weights=state.weights,
-        log_weights=state.log_weights, log_degeneracies=state.log_degeneracies,
+        t=state.t, params=state.params, log_levels=state.log_levels,
         tail_bound=1e-8, M_t=state.M_t,
     )
     with pytest.warns(RuntimeWarning):
         entropy_conditional(loose)
     broken = ConditionalState(
-        t=state.t, params=state.params, weights=state.weights,
-        log_weights=state.log_weights, log_degeneracies=state.log_degeneracies,
+        t=state.t, params=state.params, log_levels=state.log_levels,
         tail_bound=1e-5, M_t=state.M_t,
     )
     with pytest.raises(TailBoundError):
         entropy_conditional(broken)
     assert entropy_tail_bound(state) < 1e-9
+
+
+def _shannon_entropy(state) -> float:
+    """-sum_gamma C(gamma+mu-1, gamma) w ln w, the degeneracy-weighted
+    eigenvalue sum, with the log degeneracies from log-gamma."""
+    mu = state.params.mu
+    g = state.gammas.astype(float)
+    log_deg = np.array([math.lgamma(x + mu) - math.lgamma(x + 1.0) for x in g]) - math.lgamma(mu)
+    level = state.level_probs()
+    return -math.fsum((level * (state.log_levels - log_deg)).tolist())
+
+
+@pytest.mark.parametrize("t", [0, 3, 10])
+def test_entropy_matches_degeneracy_weighted_sum(params_a, params_b, t):
+    for params in (params_a, params_b, ExperimentParams(2.3, 0.35, 2.1)):
+        state = build_conditional(params, SelectionRule.exact(t), tol=1e-15)
+        assert entropy_conditional(state) == pytest.approx(_shannon_entropy(state), rel=1e-12)
+
+
+def _log_ratio_oracle(params, t, gammas):
+    """l(gamma) = ln[P(gamma)/Q(gamma)] level by level, P the state's law
+    t + NB(t+mu, rr) and Q the thermal NB(mu, q), q = nbar/(1+nbar); the
+    rational parameters are exact fractions.  P/Q is
+    C(t+k, t)/C(t+mu-1, t) (rr/q)**k ((1+nbar)/(1+odds))**(t+mu) / nbar**t
+    at gamma = t + k, and (1+nbar)/(1+odds) = 1 + t/mu."""
+    mu, eta, m = (Fraction(x) for x in (params.mu, params.eta, params.mean_counts))
+    rr = m * (1 - eta) / (m + mu * eta)
+    nbar = (t * (m + eta * mu) + mu * m * (1 - eta)) / ((m + mu) * eta * mu)
+    q = nbar / (1 + nbar)
+    k = np.asarray(gammas, dtype=float) - t
+    log_binom = np.log1p(k[:, None] / np.arange(1.0, t + 1)).sum(axis=1)
+    const = (
+        float(t + mu) * math.log1p(float(Fraction(t) / mu))
+        - t * math.log(float(nbar))
+        - math.fsum(math.log1p(float((mu - 1) / j)) for j in range(1, t + 1))
+    )
+    return const + k * math.log1p(float(rr / q - 1)) + log_binom
+
+
+# delta = sum P ln(P/Q) to 40 digits (mpmath, log-gamma terms summed until P < 1e-45)
+_DELTA_40 = [
+    ((197.0, 0.06, 13.4), 13, 0.003722431446693505150901466145239337972877, 1e-13),
+    ((25.0, 0.056, 17.1), 7, 0.01797519425230013468892398311825590599652, 1e-13),
+    ((2.3, 0.35, 2.1), 4, 0.4375479055830301558796487712334363552679, 1e-13),
+    # mu = 5.6e5: S_ref = 7.3e5, so the entropies themselves agree to 1e-15 only
+    ((557682.77, 2.2815e-8, 0.011411), 14, 7.047298801966022507273376660059199689054e-10, 1e-10),
+]
+
+
+@pytest.mark.parametrize("point,t,value,tol", _DELTA_40)
+def test_delta_matches_40_digit_sum(point, t, value, tol):
+    rep = nongauss_report(ExperimentParams(*point), t)
+    assert abs(rep.delta - value) <= tol
+    assert rep.S_state == rep.S_ref - rep.delta
+
+
+def test_delta_near_the_level_budget():
+    # 2.5e7 photon levels; a long-double sum of ln P - ln Q, each a running
+    # sum, gives 3.3280363737e-6
+    start = time.perf_counter()
+    rep = nongauss_report(ExperimentParams(2187.7, 1.58e-8, 0.327), 8)
+    assert time.perf_counter() - start < 20.0
+    assert abs(rep.delta - 3.3280363737e-6) <= 1e-10
 
 
 # --- reports -----------------------------------------------------------------
@@ -244,18 +307,21 @@ def test_sweep_efficiency_ordering():
 
 
 @given(
-    mu=st.floats(1.0, 250.0),
-    eta=st.floats(0.02, 0.6),
+    log_mu=st.floats(0.0, 6.0),
+    log_eta=st.floats(-3.0, math.log10(0.999)),
     m=st.floats(0.05, 25.0),
     t=st.integers(0, 25),
 )
 @settings(max_examples=25, deadline=None)
-def test_delta_bounds_property(mu, eta, m, t):
+def test_delta_bounds_property(log_mu, log_eta, m, t):
     from twinbeam import marginal
 
-    params = ExperimentParams(mu, eta, m)
+    params = ExperimentParams(10.0**log_mu, 10.0**log_eta, m)
     if marginal(params, t) <= 1e-12:
         return
     rep = nongauss_report(params, t, tol=1e-12)
-    assert rep.delta >= -1e-9
-    assert -1e-9 <= rep.delta_R <= 1.0 + 1e-12
+    state = build_conditional(params, SelectionRule.exact(t), tol=1e-20)
+    level = state.level_probs()
+    oracle = math.fsum((level * _log_ratio_oracle(params, t, state.gammas)).tolist())
+    assert abs(rep.delta - oracle) <= 1e-11
+    assert -1e-12 <= rep.delta_R <= 1.0 + 1e-12

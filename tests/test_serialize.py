@@ -128,8 +128,10 @@ def test_output_dir_env(tmp_path, monkeypatch):
 # the series stopped at tol 1e-6; its cells are within 4e-15 of joint_prob)
 # and 5e-13 in entropy.  The conditional and sweep pins hold the exact-t
 # state as t + NB(t+mu, rr): the conditional support ends where that tail
-# drops to tol (8 rows, not 48; every kept cell unchanged) and the sweep's
-# entropies agree with a 40-digit sum within 1e-14.
+# drops to tol (8 rows, not 48; every kept cell unchanged).  The sweep pins
+# hold delta as the relative entropy of the photon-total laws: delta is
+# within 1.3e-15 of a 40-digit sum (it moved by up to 7.8e-15) and S_ref
+# within 6e-15 (S_state = S_ref - delta).
 _SMALL = ["--mu", "1", "--eta", "0.5", "--mean", "0.5"]
 _GOLDEN_ARGV = {
     "joint": ["joint", *_SMALL, "--tol", "1e-2"],
@@ -148,8 +150,8 @@ _GOLDEN_SHA256 = {
     ("conditional", "json"): "6ee0eee98fc8a2a4c7f45c9cf980f87eadacb96810977d02caf4e59c08346537",
     ("sample", "csv"): "52f47ae859188e226dba3919675f94fe290a8ae212ea47b733512a68e2ab138a",
     ("sample", "json"): "1bebc9387457458753836ac6cc013ab8d5ca8ed6f5303ea3ad3833c1241d1287",
-    ("sweep", "csv"): "a6bbfe30730031c69fd48d71934b9b577b55219e18f184a3162693f5da06b72c",
-    ("sweep", "json"): "cf7aa9c1c535848568fea802808cbbd0165fb6c3aa57ea449806b629fe7f21e8",
+    ("sweep", "csv"): "0661fb74961372e8bfec5afc8a93c0df658326f010c33bdcb79a3483190ddffc",
+    ("sweep", "json"): "e3b341d4798133f55b7d0c46d21c392734de663aabd188ba4d9f404f3cd5d3c4",
 }
 
 
