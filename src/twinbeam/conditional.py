@@ -380,12 +380,18 @@ def _selection(
     above(t*) is open-ended: P(A) is the upper tail of the marginal, summed
     directly as a regularised incomplete beta function (no cancellation
     against 1), and the values are cut where the omitted marginal tail is
-    <= tol*P(A)/10.
+    <= tol*P(A)/10.  More than _MAX_CELLS_DEFAULT values (the marginal's
+    budget) are refused before they are listed.
     """
     thr = rule.threshold
     if rule.kind == "above":
         success = 1.0 if thr < 0 else float(_nb_sf(params, thr))
         hi = _nb_quantile(params, max(tol * success * 0.1, 1e-300))
+        if hi - thr > _MAX_CELLS_DEFAULT:
+            raise TableSizeError(
+                f"{rule.describe()} needs {hi - thr} trigger values, "
+                f"over the {_MAX_CELLS_DEFAULT} budget"
+            )
         values = np.arange(thr + 1, max(hi, thr + 1) + 1)
     elif rule.kind == "set":
         values = np.array(rule.values)

@@ -25,11 +25,20 @@ underflows.  The tail sums P(count >= t | s) obey the same recurrence for
 t >= 1.  Both are swept one anti-diagonal s + t = d at a time
 (``_conditional_law``).
 
-``joint_prob`` keeps the log-space series p(s, t) = A**mu B**(s+t)
-sum_{l >= max(s,t)} x**l C(l+mu-1, l) C(l, s) C(l, t), A = mu eta/(M + mu
-eta), B = eta/(1-eta), x = M (1-eta)**2/(M + mu eta), with a geometric tail
-bound, as an independent oracle; ``brute_force_joint`` enumerates photon
-numbers per mode with exact integer binomial thinning and convolves modes.
+``joint_prob`` is an independent oracle cell by cell.  The series over
+photon levels p(s, t) = A**mu B**(s+t) sum_{l >= max(s,t)} x**l
+C(l+mu-1, l) C(l, s) C(l, t), A = mu eta/(M + mu eta), B = eta/(1-eta),
+x = M (1-eta)**2/(M + mu eta) < 1, is for s >= t the hypergeometric
+x**s C(s+mu-1, s) C(s, t) 2F1(s+mu, s+1; s-t+1; x).  Euler's transformation
+(Abramowitz & Stegun 15.3.3) makes it (1-x)**-(s+t+mu)
+2F1(1-t-mu, -t; s-t+1; x), which ends after t + 1 positive terms; with
+A/(1-x) = 1/D,
+
+    p(s, t) = D**-mu (B/(1-x))**(s+t) x**s C(s+mu-1, s) C(s, t) sum_{k<=t} u_k,
+    u_0 = 1,  u_{k+1} = u_k x (t+mu-1-k)(t-k) / ((s-t+1+k)(k+1)).
+
+``brute_force_joint`` enumerates photon numbers per mode with exact integer
+binomial thinning and convolves modes.
 """
 
 from __future__ import annotations
@@ -59,7 +68,6 @@ __all__ = [
 # covering pure floating-point rounding at tol = 0 (empirical tables).
 _FLOAT_SLACK = 1e-12
 
-_CHUNK = 96
 _MAX_CELLS_DEFAULT = 4_000_000
 
 
@@ -241,87 +249,47 @@ def _validate_tol(tol: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _series_constants(params: ExperimentParams) -> tuple[float, float, float]:
-    """(log A, log B, log x) for the joint-count series."""
-    mu, eta, m = params.mu, params.eta, params.mean_counts
-    denom = math.log(m + mu * eta)
-    log_a = math.log(mu) + math.log(eta) - denom
-    log_b = math.log(eta) - math.log1p(-eta)
-    log_x = math.log(m) + 2.0 * math.log1p(-eta) - denom
-    return log_a, log_b, log_x
-
-
-def joint_prob(params: ExperimentParams, s: int, t: int, tol: float = 1e-12) -> float:
+def joint_prob(params: ExperimentParams, s: int, t: int) -> float:
     """Probability of detecting s counts on one beam and t on the other.
 
-    Evaluates the closed-form series with a relative truncation tolerance
-    ``tol``: summation stops once the geometric tail bound drops below
-    tol times the accumulated sum.  Exactly symmetric in (s, t): both orders
-    run through the same code path after a swap.
+    The terminating form of the module docstring: min(s, t) + 1 positive
+    terms, summed in log space shifted by the largest, with no truncation.
+    Exactly symmetric in (s, t): both orders run through the same code path
+    after a swap.  Independent of the recurrence and its helpers.
     """
     params.require_lossy()
     s = _validate_count(s, "s")
     t = _validate_count(t, "t")
-    tol = _validate_tol(tol)
     if params.mean_counts == 0.0:
         return 1.0 if s == 0 and t == 0 else 0.0
     s, t = (s, t) if s >= t else (t, s)
 
-    mu = params.mu
-    log_a, log_b, log_x = _series_constants(params)
-    if log_x >= 0.0:
-        raise ConvergenceError("series ratio bound >= 1; parameters out of domain")
-    x = math.exp(log_x)
-    c0 = mu * log_a + (s + t) * log_b
-
-    # Linear-space accumulation of log-space terms, rescaled by the running
-    # peak; each chunk is summed smallest-first.
-    acc = 0.0
-    scale = -math.inf
-    lo = s
-    hard_cap = lo + 10_000 + int(200.0 * (s + t + mu + 10.0) / max(1e-3, -log_x))
-    # The stopping bound term(l) * r / (1 - r) falls with l (r is
-    # non-increasing) and the sum never exceeds min(p2(s), p2(t)); if the
-    # bound at the last chunk end the loop can reach is still above tol times
-    # that, no chunk end can meet the stopping test.  The 1e-6 in the
-    # exponent covers rounding in the log-gamma terms.
-    last = lo + _CHUNK * ((hard_cap - lo) // _CHUNK) + _CHUNK - 1
-    ratio = x * (last + mu) * (last + 1.0) / ((last + 1.0 - s) * (last + 1.0 - t))
-    if ratio >= 1.0 or ratio > 0.0 and (
-        c0 + last * log_x + log_binomial(last + mu - 1.0, last)
-        + log_binomial(last, s) + log_binomial(last, t) + math.log(ratio / (1.0 - ratio))
-        > math.log(tol) + float(_log_nb_arr(mu, params.mean_counts, [s, t]).min()) + 1e-6
-    ):
-        raise TableSizeError(
-            f"series for p({s}, {t}) needs more than {last + 1} photon levels "
-            f"to reach the relative tolerance {tol:.3g}"
-        )
-    while True:
-        ls = np.arange(lo, lo + _CHUNK, dtype=float)
-        logs = (
-            c0
-            + ls * log_x
-            + _log_binom_arr(ls + mu - 1.0, ls)
-            + _log_binom_arr(ls, s)
-            + _log_binom_arr(ls, t)
-        )
-        peak = float(logs.max())
-        if peak > scale:
-            if acc > 0.0:
-                acc *= math.exp(scale - peak)
-            scale = peak
-        acc += float(np.sort(np.exp(logs - scale)).sum())
-        last = lo + _CHUNK - 1
-        ratio = x * (last + mu) * (last + 1.0) / ((last + 1.0 - s) * (last + 1.0 - t))
-        if ratio < 1.0:
-            tail = math.exp(float(logs[-1]) - scale) * ratio / (1.0 - ratio)
-            if tail <= tol * acc:
-                break
-        lo += _CHUNK
-        if lo > hard_cap:
-            raise ConvergenceError(f"series did not converge within l <= {hard_cap}")
-    # the exact value is a probability; only terminal rounding can exceed 1
-    return min(acc * math.exp(scale), 1.0)
+    mu, eta, mean = params.mu, params.eta, params.mean_counts
+    den = mean + mu * eta
+    log_x = math.log(mean) + 2.0 * math.log1p(-eta) - math.log(den)
+    # B/(1-x) with 1 - x = eta (mu + M(2-eta)) / (M + mu eta)
+    log_bx = math.log(den / ((1.0 - eta) * (mu + mean * (2.0 - eta))))
+    k = np.arange(t, dtype=float)
+    ratios = (t + mu - 1.0 - k) * (t - k) / ((s - t + 1.0 + k) * (k + 1.0))
+    # log u_k as a compensated running sum: hi + lo carries its rounding
+    log_u, hi, lo = [0.0], 0.0, 0.0
+    for step in (log_x + np.log(ratios)).tolist():
+        new = hi + step
+        lo += (hi - new) + step if abs(hi) >= abs(step) else (step - new) + hi
+        hi = new
+        log_u.append(hi + lo)
+    log_u = np.array(log_u)
+    peak = float(log_u.max())
+    j = np.arange(1.0, s + 1.0)
+    return math.exp(math.fsum([
+        -mu * math.log1p(mean / mu * (2.0 - eta)),
+        (s + t) * log_bx,
+        s * log_x,
+        math.fsum(np.log1p((mu - 1.0) / j).tolist()),  # log C(s+mu-1, s)
+        math.fsum(np.log1p((s - t) / j[:t]).tolist()),  # log C(s, t)
+        peak,
+        math.log(math.fsum(np.exp(log_u - peak).tolist())),
+    ]))
 
 
 def _conditional_law(params: ExperimentParams, rows: int, cols: int, tail: bool = False):
@@ -400,25 +368,21 @@ def _nb_quantile(params: ExperimentParams, q: float) -> int:
     return _first_true(lambda k: _nb_sf(params, k) <= q, 1)
 
 
-def joint_table(
-    params: ExperimentParams,
-    tol: float = 1e-12,
-    max_cells: int = _MAX_CELLS_DEFAULT,
-) -> JointDistribution:
+def joint_table(params: ExperimentParams, tol: float = 1e-12) -> JointDistribution:
     """Joint-count table with adaptively chosen bounds and omitted mass <= tol.
 
     The square support is sized from the closed-form marginal quantile, so
     that at most tol/4 of the mass lies beyond it on each beam.  Refuses to
-    build more than ``max_cells`` cells.
+    build more than _MAX_CELLS_DEFAULT cells.
     """
     params.require_lossy()
     tol = _validate_tol(tol)
     k = _nb_quantile(params, tol / 4.0)
     cells = (k + 1) ** 2
-    if cells > max_cells:
+    if cells > _MAX_CELLS_DEFAULT:
         raise TableSizeError(
             f"table needs ({k + 1})**2 = {cells} cells for tol={tol}, "
-            f"exceeding the budget of {max_cells}"
+            f"exceeding the budget of {_MAX_CELLS_DEFAULT}"
         )
     return _assembled(JointDistribution, _joint_square(params, k + 1), params=params, tol=tol)
 
@@ -509,12 +473,7 @@ def marginal_dist(params: ExperimentParams, tol: float = 1e-12) -> PhotoCountDis
 _ORACLE_TAIL = 1e-12
 
 
-def brute_force_joint(
-    mu: int,
-    mean_photons: float,
-    eta: float,
-    photon_cutoff: int | None = None,
-) -> JointDistribution:
+def brute_force_joint(mu: int, mean_photons: float, eta: float) -> JointDistribution:
     """Joint count table straight from the model definition, no closed form.
 
     Enumerates the per-mode photon number n (geometric law, both arms carry
@@ -522,8 +481,8 @@ def brute_force_joint(
     convolves the modes.  Intended as an oracle for small mode numbers;
     eta = 1 (no loss) is allowed here and nowhere else.
 
-    The geometric cutoff must leave a tail below 1e-12 summed over modes;
-    ``photon_cutoff=None`` picks the smallest such cutoff.
+    The geometric cutoff is the smallest that leaves a tail below 1e-12
+    summed over modes.
     """
     from scipy.signal import convolve2d  # only this oracle needs it; import is slow
 
@@ -540,18 +499,9 @@ def brute_force_joint(
     n_mean = float(mean_photons)
     lam_sq = n_mean / (mu + n_mean) if n_mean > 0.0 else 0.0
 
-    if lam_sq == 0.0:
-        cutoff = 0
-    else:
-        needed = math.ceil(math.log(_ORACLE_TAIL / mu) / math.log(lam_sq)) - 1
-        cutoff = max(0, needed)
-        if photon_cutoff is not None:
-            if photon_cutoff < cutoff:
-                raise ParameterError(
-                    f"photon_cutoff={photon_cutoff} leaves a geometric tail above "
-                    f"{_ORACLE_TAIL}; need >= {cutoff}"
-                )
-            cutoff = int(photon_cutoff)
+    cutoff = 0
+    if lam_sq > 0.0:
+        cutoff = max(0, math.ceil(math.log(_ORACLE_TAIL / mu) / math.log(lam_sq)) - 1)
 
     ns = np.arange(cutoff + 1)
     geo = (1.0 - lam_sq) * lam_sq**ns if lam_sq > 0.0 else np.array([1.0])

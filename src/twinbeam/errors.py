@@ -10,12 +10,11 @@ class ParameterError(TwinbeamError, ValueError):
 
 
 class ConvergenceError(TwinbeamError):
-    """A series or an assembled distribution failed its own check.
+    """An assembled distribution failed its own check.
 
-    Raised when the ``joint_prob`` oracle series does not meet its stopping
-    bound within its level cap, or when assembled masses or member weights
-    exceed their exact totals beyond rounding.  The joint-table, marginal
-    and conditional count-law kernels and the measurement route behind
+    Raised when assembled masses or member weights exceed their exact
+    totals beyond rounding.  The joint-table, marginal and conditional
+    count-law kernels, ``joint_prob`` and the measurement route behind
     ``verify=True`` do not raise it on the validated domain (mu >= 1,
     0 < eta < 1, M >= 0).  Work that cannot finish within a budget is
     refused up front with TableSizeError.  It always replaces a result,
@@ -24,7 +23,7 @@ class ConvergenceError(TwinbeamError):
 
 
 class TableSizeError(TwinbeamError):
-    """A requested table exceeds the configured cell or series-level budget."""
+    """A requested table exceeds its cell, level or member budget."""
 
 
 class ConditioningError(TwinbeamError):

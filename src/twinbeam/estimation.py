@@ -39,6 +39,7 @@ __all__ = ["EstimationReport", "noise_reduction", "estimate_params", "fidelity"]
 _BOOTSTRAP_DEFAULT = 200
 _MU_CAP = 1e6
 _MAX_LEVELS = 4_000_000  # count levels the refinement's score sums over
+_TABLE_TOL = 1e-8  # omitted mass of the model table the fidelity scores against
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,6 @@ def estimate_params(
     n_bootstrap: int = _BOOTSTRAP_DEFAULT,
     bootstrap_seed: int = 0,
     compute_fidelity: bool = True,
-    table_tol: float = 1e-8,
 ) -> EstimationReport:
     """Full parameter recovery from a shot record.
 
@@ -178,7 +178,7 @@ def estimate_params(
 
     fid = None
     if compute_fidelity:
-        fid = _model_fidelity(record, m_hat, eta_hat, mu_hat, table_tol, diagnostics)
+        fid = _model_fidelity(record, m_hat, eta_hat, mu_hat, diagnostics)
 
     return EstimationReport(
         M_hat=m_hat,
@@ -252,13 +252,12 @@ def _model_fidelity(
     m_hat: float,
     eta_hat: float,
     mu_hat: float,
-    tol: float,
     diagnostics: list[str],
 ) -> float | None:
     if not (math.isfinite(mu_hat) and mu_hat >= 1.0 and 0.0 < eta_hat < 1.0 and m_hat > 0.0):
         diagnostics.append("fidelity skipped: estimates leave the model domain")
         return None
-    model = joint_table(ExperimentParams(mu_hat, eta_hat, m_hat), tol=tol)
+    model = joint_table(ExperimentParams(mu_hat, eta_hat, m_hat), tol=_TABLE_TOL)
     return fidelity(histogram(record), model)
 
 

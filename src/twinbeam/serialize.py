@@ -201,12 +201,12 @@ def read_record(path) -> ShotRecord:
         raise ParameterError(f"{path}: {exc}") from exc
 
 
-def resolve_output(path, default_dir_env: str = "TWINBEAM_OUTDIR"):
+def resolve_output(path):
     """Relative output paths land in $TWINBEAM_OUTDIR when it is set."""
     if path is None:
         return None
     path = Path(path)
-    base = os.environ.get(default_dir_env)
+    base = os.environ.get("TWINBEAM_OUTDIR")
     if base and not path.is_absolute():
         path = Path(base) / path
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
 from twinbeam import ExperimentParams, joint_table, sample_run
@@ -12,6 +13,19 @@ from twinbeam import ExperimentParams, joint_table, sample_run
 # few-mode beam pair with comparable brightness.
 PARAMS_A = ExperimentParams(197.0, 0.06, 13.4)
 PARAMS_B = ExperimentParams(25.0, 0.056, 17.1)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# The whole validated domain, log-uniform in each parameter.
+domain_st = st.builds(
+    ExperimentParams,
+    mu=_log_uniform(1.0, 1e6),
+    eta=_log_uniform(1e-9, 0.999),
+    mean_counts=_log_uniform(1e-3, 1e3),
+)
 
 
 @pytest.fixture(scope="session")

@@ -324,7 +324,7 @@ def test_selection_matches_scalar_series(point, rule, params_a, params_b):
     # members below 1e-14 of the acceptance probability move no cell by 1e-12
     ts = [t for t, p in zip(accepted, p2) if p > 1e-14 * p_accept]
     for s in range(0, len(dist), 2):
-        ref = math.fsum(joint_prob(params, s, t, tol=1e-11) for t in ts) / p_accept
+        ref = math.fsum(joint_prob(params, s, t) for t in ts) / p_accept
         assert dist.probs[s] == pytest.approx(ref, abs=1e-10)
 
 

@@ -1,7 +1,9 @@
+import decimal
 import math
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from twinbeam import (
     marginal_dist,
 )
 
-from conftest import PARAMS_A, PARAMS_B
+from twinbeam.core import _joint_square
+
+from conftest import PARAMS_A, PARAMS_B, domain_st
 
 params_st = st.builds(
     ExperimentParams,
@@ -136,8 +140,47 @@ def test_joint_prob_validates_arguments():
         joint_prob(p, -1, 0)
     with pytest.raises(ParameterError):
         joint_prob(p, 0.5, 0)  # type: ignore[arg-type]
-    with pytest.raises(ParameterError):
-        joint_prob(p, 0, 0, tol=0.0)
+
+
+def _series_40(params: ExperimentParams, s: int, t: int) -> float:
+    """p(s, t) from the paper's series over photon levels l >= max(s, t),
+    A**mu B**(s+t) sum_l x**l C(l+mu-1, l) C(l, s) C(l, t), in 40-digit
+    decimal arithmetic.  The term ratio falls with l, so the tail after a
+    term is at most term * ratio/(1 - ratio); the sum stops when that is
+    below 1e-42 of it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        mu, eta, m = (Decimal(v) for v in (params.mu, params.eta, params.mean_counts))
+        x = m * (1 - eta) ** 2 / (m + mu * eta)
+        s, t = max(s, t), min(s, t)
+        term = x**s * math.comb(s, t)
+        for j in range(1, s + 1):
+            term = term * (mu - 1 + j) / j
+        total, level = Decimal(0), s
+        while True:
+            total += term
+            ratio = x * (level + mu) * (level + 1) / ((level + 1 - s) * (level + 1 - t))
+            term *= ratio
+            level += 1
+            if ratio < 1 and term / (1 - ratio) < Decimal("1e-42") * total:
+                break
+        log_a = (mu * eta / (m + mu * eta)).ln()
+        return float((mu * log_a).exp() * (eta / (1 - eta)) ** (s + t) * total)
+
+
+@pytest.mark.parametrize(
+    "params, cells",
+    [
+        (ExperimentParams(1e6, 0.3, 3.0), [(0, 0), (3, 1), (5, 5), (12, 4), (18, 18), (20, 3)]),
+        (PARAMS_A, [(0, 0), (13, 2), (13, 13), (30, 25), (42, 40), (50, 10)]),
+    ],
+    ids=["large-mu", "A"],
+)
+def test_joint_prob_matches_the_series_to_40_digits(params, cells):
+    # the truncated log-gamma series was 1.5e-11 to 5.3e-10 away at large mu
+    for s, t in cells:
+        ref = _series_40(params, s, t)
+        assert abs(joint_prob(params, s, t) - ref) <= 1e-13 * ref, (s, t)
 
 
 # --- joint_table -------------------------------------------------------------
@@ -179,7 +222,7 @@ def test_joint_table_marginal_consistency(params_a, table_a):
 
 def test_joint_table_cell_budget():
     with pytest.raises(TableSizeError) as err:
-        joint_table(ExperimentParams(1.0, 0.5, 20.0), tol=1e-12, max_cells=100)
+        joint_table(ExperimentParams(1.0, 0.5, 1e4), tol=1e-12)
     assert "cells" in str(err.value)
 
 
@@ -271,27 +314,22 @@ def test_brute_force_guards():
         brute_force_joint(5, 1.0, 0.5)
     with pytest.raises(ParameterError):
         brute_force_joint(2, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        brute_force_joint(2, 1.0, 0.5, photon_cutoff=3)
 
 
-def test_joint_prob_budget_is_checked_before_the_loop():
-    # the series for p(0, 0) cannot meet its relative tolerance within its
-    # level cap here; it is refused before the first chunk
-    for eta in (1e-9, 1e-6):
+def test_joint_prob_at_tiny_efficiency_is_fast_and_exact():
+    # x is within 2e-5 of 1 here: the truncated series refused p(0, 0),
+    # ran 1.9 s into a ConvergenceError for p(3, 3) and took 1.1 s for the
+    # (5, 5) cell at (2.3, 1e-5, 2.1)
+    tiny = ExperimentParams(1.0, 1e-6, 0.1)
+    for params, s in ((tiny, 0), (tiny, 3), (ExperimentParams(2.3, 1e-5, 2.1), 5)):
         start = time.perf_counter()
-        with pytest.raises(TableSizeError):
-            joint_prob(ExperimentParams(1.0, eta, 0.1), 0, 0)
+        value = joint_prob(params, s, s)
         assert time.perf_counter() - start < 0.1
-
-
-def test_brute_force_explicit_cutoff_accepted():
-    bf = brute_force_joint(2, 1.0, 0.5, photon_cutoff=80)
-    assert bf.total_mass == pytest.approx(1.0, abs=1e-11)
+        assert abs(value - _joint_square(params, s + 1)[s, s]) <= 1e-14
 
 
 def test_convergence_guard_is_unreachable_for_valid_params():
-    # the series ratio bound x < 1 holds across the whole domain
+    # x < 1 holds across the whole domain, so the series converges
     for params in (PARAMS_A, PARAMS_B, ExperimentParams(1.0, 0.02, 30.0)):
         x = (
             params.mean_counts
@@ -302,9 +340,11 @@ def test_convergence_guard_is_unreachable_for_valid_params():
         joint_prob(params, 0, 0)  # does not raise ConvergenceError
 
 
-@given(params=params_st, s=st.integers(0, 30), t=st.integers(0, 30))
-@example(params=ExperimentParams(1.0, 0.5, 5e-324), s=0, t=0)  # the term ratio underflows to 0
+@given(params=domain_st, s=st.integers(0, 30), t=st.integers(0, 30))
+@example(params=ExperimentParams(1.0, 0.5, 5e-324), s=0, t=0)  # x underflows to 0
 @settings(max_examples=60, deadline=None)
 def test_joint_prob_is_a_probability(params, s, t):
     value = joint_prob(params, s, t)
     assert 0.0 <= value <= 1.0
+    assert value == joint_prob(params, t, s)
+    assert abs(value - _joint_square(params, max(s, t) + 1)[s, t]) <= 1e-14

@@ -32,7 +32,7 @@ from twinbeam import (
 
 from twinbeam.core import _MAX_CELLS_DEFAULT as _MAX_CELLS
 
-from conftest import PARAMS_A, PARAMS_B
+from conftest import PARAMS_A, PARAMS_B, domain_st
 
 _WALL_BUDGET = 2.0
 
@@ -81,16 +81,6 @@ def _timed(call):
     return out
 
 
-def _log_uniform(lo: float, hi: float):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
-
-
-domain_st = st.builds(
-    ExperimentParams,
-    mu=_log_uniform(1.0, 1e6),
-    eta=_log_uniform(1e-9, 0.999),
-    mean_counts=_log_uniform(1e-3, 1e3),
-)
 rule_st = st.one_of(
     st.integers(0, 40).map(SelectionRule.exact),
     st.integers(-1, 40).map(SelectionRule.above),
@@ -307,6 +297,20 @@ def test_marginal_support_budget():
     dist = marginal_dist(ExperimentParams(1.0, 0.3, 1e5))
     assert 2_700_000 < len(dist) < _MAX_CELLS
     _check_mass(dist)
+
+
+def test_threshold_member_budget():
+    # above(1) at (1, 0.3, 1e7) lists 2.99e8 trigger values: both calls
+    # ran 0.8-2.4 s into a MemoryError under a 3 GiB address-space cap
+    params = ExperimentParams(1.0, 0.3, 1e7)
+    for call in (build_conditional, cond_count_dist):
+        start = time.perf_counter()
+        with pytest.raises(TableSizeError, match="trigger values"):
+            call(params, SelectionRule.above(1))
+        assert time.perf_counter() - start < 0.1
+    # 3.0e6 members fit the budget
+    mixture = build_conditional(ExperimentParams(1.0, 0.3, 1e5), SelectionRule.above(1))
+    assert 2_900_000 < len(mixture.trigger_values) < _MAX_CELLS
 
 
 def test_weight_at_large_mu_matches_a_decimal_sum():
