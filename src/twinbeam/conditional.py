@@ -12,7 +12,7 @@ configurations of one total share the eigenvalue
 
 whose logarithm ``weight`` takes from the odds rr/(1-rr), never from a
 difference.  The state keeps gamma = t .. gamma_max, gamma_max - t the
-smallest k whose upper tail I_rr(k+1, t+mu) is <= tol, and stores only the
+smallest k whose upper tail P(NB(t+mu, rr) > k) is <= tol, and stores only the
 log of its photon-total law, an exact running sum of O(1) log-ratios; the
 eigenvalues divide the degeneracies out of it when they are first read.
 The conditional mean count is affine in the trigger value,
@@ -51,7 +51,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.special import betainc
 
 from .core import (
     _FLOAT_SLACK,
@@ -60,14 +59,12 @@ from .core import (
     _assembled,
     _conditional_law,
     _exact_cumsum,
-    _first_true,
     _freeze,
+    _law_tail,
     _log_nb_arr,
     _log_nb_running,
     _marginal_probs,
     _mass_sum,
-    _nb_quantile,
-    _nb_sf,
     _validate_count,
     _validate_tol,
     log_marginal,
@@ -342,33 +339,19 @@ def build_conditional(
 
 
 def _build_exact(params: ExperimentParams, t: int, tol: float) -> ConditionalState:
+    """The state t + NB(t+mu, rr), its levels and omitted mass from one
+    ``_law_tail`` head cut where the omitted mass is <= tol."""
     t = _validate_count(t, "t")
     _require_trigger(params, t)  # in vacuum (rr = 0), t = 0 and one level remain
-    mu = params.mu
-    top = _photon_top(params, t, tol)
-    levels = top - t + 1
-    if levels > _MAX_LEVELS:
-        raise TableSizeError(
-            f"the t={t} state needs {levels} photon levels for tol={tol}, "
-            f"exceeding the budget of {_MAX_LEVELS}"
-        )
-    rr = _ratio(params)[0]
+    refuse = f"the t={t} state needs over {_MAX_LEVELS} photon levels for tol={tol}"
+    log_levels, _, tail = _law_tail(t + params.mu, _ratio(params)[0], tol, _MAX_LEVELS, refuse)
     return ConditionalState(
         t=t,
         params=params,
-        log_levels=_log_nb_running(t + mu, rr, levels),
-        tail_bound=float(betainc(levels, t + mu, rr)),
+        log_levels=log_levels,
+        tail_bound=tail,
         M_t=conditional_mean(params, t),
     )
-
-
-def _photon_top(params: ExperimentParams, t: int, tol: float) -> int:
-    """Largest photon total the exact-t state keeps: t plus the smallest k
-    with P(NB(t+mu, rr) > k) = I_rr(k+1, t+mu) <= tol, searched from the
-    mean (t+mu)*rr/(1-rr)."""
-    rr, odds = _ratio(params)
-    b = t + params.mu
-    return t + _first_true(lambda k: betainc(k + 1.0, b, rr) <= tol, int(b * odds))
 
 
 def _selection(
@@ -377,36 +360,32 @@ def _selection(
     """Accepted trigger values of a rule, their marginal probabilities p2(t)
     and the acceptance probability P(A) = sum p2(t).
 
-    above(t*) is open-ended: P(A) is the upper tail of the marginal, summed
-    directly as a regularised incomplete beta function (no cancellation
-    against 1), and the values are cut where the omitted marginal tail is
-    <= tol*P(A)/10.  More than _MAX_CELLS_DEFAULT values (the marginal's
-    budget) are refused before they are listed.
+    above(t*) is open-ended: one ``_law_tail`` head of the marginal lists
+    the values up to where the omitted tail is <= tol*P(A)/10, and P(A) is
+    their sum plus that tail (no cancellation against 1); the whole head
+    plus that tail must sum to 1.  More than _MAX_CELLS_DEFAULT values (the
+    marginal's budget) are refused before they are listed.
     """
-    thr = rule.threshold
+    thr, mu, m = rule.threshold, params.mu, params.mean_counts
     if rule.kind == "above":
-        success = 1.0 if thr < 0 else float(_nb_sf(params, thr))
-        hi = _nb_quantile(params, max(tol * success * 0.1, 1e-300))
-        if hi - thr > _MAX_CELLS_DEFAULT:
-            raise TableSizeError(
-                f"{rule.describe()} needs {hi - thr} trigger values, "
-                f"over the {_MAX_CELLS_DEFAULT} budget"
-            )
-        values = np.arange(thr + 1, max(hi, thr + 1) + 1)
-    elif rule.kind == "set":
-        values = np.array(rule.values)
+        refuse = f"{rule.describe()} needs over {_MAX_CELLS_DEFAULT} trigger values, the budget"
+        cap = thr + 1 + _MAX_CELLS_DEFAULT
+        head, hi, tail = _law_tail(mu, m / (m + mu), 0.1 * tol, cap, refuse, size=thr + 2)
+        values, p2 = np.arange(thr + 1, hi + 1), np.exp(head[thr + 1:])
+        mass = _mass_sum(p2) + tail
+        success = 1.0 if thr < 0 else mass
+        total = float(np.exp(head[:thr + 1]).sum()) + mass  # the whole law against its exact total
+        if abs(total - 1.0) > 0.1 * tol + _FLOAT_SLACK:
+            raise ConvergenceError(f"the marginal behind {rule.describe()} sums to {total}, not 1")
     else:
-        values = np.arange(thr, thr + 1) if rule.kind == "exact" else np.arange(thr)
-    p2 = np.exp(_log_nb_arr(params.mu, params.mean_counts, values))
-    if rule.kind != "above":
+        if rule.kind == "set":
+            values = np.array(rule.values)
+        else:
+            values = np.arange(thr, thr + 1) if rule.kind == "exact" else np.arange(thr)
+        p2 = np.exp(_log_nb_arr(mu, m, values))
         success = _mass_sum(p2)
     if success < 1e-300:
         raise ConditioningError(f"selection {rule.describe()} has vanishing probability")
-    total = _mass_sum(p2 / success)
-    if abs(total - 1.0) > 0.1 * tol + _FLOAT_SLACK:
-        raise ConvergenceError(
-            f"member weights of {rule.describe()} sum to {total}, not 1"
-        )
     return values, p2, success
 
 
@@ -415,12 +394,26 @@ def _selection(
 # ---------------------------------------------------------------------------
 
 
-def _thinned_support(n: int, eta: float, tol: float) -> int:
+def _thinned_support(n: int, eta: float, tol: float, cap=math.inf, refuse: str = "") -> int:
     """Upper count bound for a state whose photon support ends at n: the
-    smallest s >= 4 with P(Bin(n, eta) > s) <= tol/4, the binomial upper
-    tail being I_eta(s + 1, n - s) for s < n and 0 from s = n on."""
-    s_max = _first_true(lambda s: s >= n or betainc(s + 1.0, n - s, eta) <= tol / 4.0, n)
-    return max(s_max, 4)
+    smallest s >= 4 with P(Bin(n, eta) > s) <= tol/4, from one ``_law_tail``
+    head of the binomial."""
+    return max(_law_tail(-float(n), -eta / (1.0 - eta), tol / 4.0, cap, refuse)[1], 4)
+
+
+def _count_support(params: ExperimentParams, t: int, tol: float, cap: int, refuse: str) -> int:
+    """Upper count bound for the exact-t state: the thinned support of its
+    photon top.  Beyond 2**16 photon levels (small eta) the top costs more
+    to sum than the count law Bin(t, eta) * NB(t + mu, c) itself, which is
+    then bounded by the two laws' quantiles at tol/8 each."""
+    mu, eta, m = params.mu, params.eta, params.mean_counts
+    try:
+        top = t + _law_tail(t + mu, _ratio(params)[0], tol, 2**16)[1]
+    except TableSizeError:
+        c = m * (1.0 - eta) / (mu + m * (2.0 - eta))
+        thinned = _law_tail(-float(t), -eta / (1.0 - eta), tol / 8.0, cap, refuse)[1]
+        return max(thinned + _law_tail(t + mu, c, tol / 8.0, cap, refuse)[1], 4)
+    return _thinned_support(top, eta, tol, cap, refuse)
 
 
 def _count_law(params: ExperimentParams, t: int, size: int) -> np.ndarray:
@@ -497,11 +490,13 @@ def _selected_count_dist(
     the other rules sum the accepted columns of P(t | s)."""
     if params.mean_counts == 0.0:  # only t = 0 is possible, and it is accepted
         return PhotoCountDistribution(probs=np.array([1.0]), tail_bound=0.0, tol=tol)
-    s_max = _thinned_support(_photon_top(params, int(values[-1]), tol), params.eta, tol)
     width = rule.threshold + 2 if rule.kind == "above" else int(values[-1]) + 1
-    cells = (s_max + width) * (width + 1)  # the sweep's diagonals, stored by t
-    if cells > 2 * _MAX_CELLS_DEFAULT:
-        raise TableSizeError(f"{rule.describe()} needs {cells} recurrence cells")
+    # the sweep stores its diagonals by t: (s_max + width) * (width + 1) cells
+    refuse = f"{rule.describe()} needs over {2 * _MAX_CELLS_DEFAULT} recurrence cells"
+    cap = 2 * _MAX_CELLS_DEFAULT // (width + 1) - width + 1
+    s_max = _count_support(params, int(values[-1]), tol, cap, refuse)
+    if (s_max + width) * (width + 1) > 2 * _MAX_CELLS_DEFAULT:
+        raise TableSizeError(refuse)
     if verify:
         products = int((np.minimum(values, s_max) + 1).sum()) * (s_max + 1)
         if products > 2 * _MAX_CELLS_DEFAULT:

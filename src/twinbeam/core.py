@@ -10,8 +10,11 @@ marginal is the multithermal (negative-binomial) law
 
     p2(t) = C(t+mu-1, t) * q**t * (1 - q)**mu,   q = M/(M + mu),
 
-a running sum of the O(1) log-ratios log((j+mu) q/(j+1)).  ``joint_table``
-needs no series: the identity (1 - r(a + bu)(a + bv)) dG/du =
+a running sum of the O(1) log-ratios log((j+mu) q/(j+1)).  ``_law_tail``
+extends such a sum, for NB(a, x) and Bin(n, eta), until geometric bounds
+pin the rest, and gives every support, cut and omitted mass; the
+incomplete beta functions of A&S 26.5.24/26.5.26 are never evaluated.
+``joint_table`` needs no series: the identity (1 - r(a + bu)(a + bv)) dG/du =
 mu r b (a + bv) G gives, with m = M/mu and D = 1 + m(2-eta), for the
 conditional law R(s, t) = p(s, t)/p2(s) = P(t | s)
 
@@ -38,7 +41,7 @@ A/(1-x) = 1/D,
     u_0 = 1,  u_{k+1} = u_k x (t+mu-1-k)(t-k) / ((s-t+1+k)(k+1)).
 
 ``brute_force_joint`` enumerates photon numbers per mode with exact integer
-binomial thinning and convolves modes.
+binomial thinning and convolves the modes' tables.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .errors import ConvergenceError, ParameterError, TableSizeError
 from .params import ExperimentParams
@@ -223,13 +225,6 @@ def log_binomial(n: float, k: int) -> float:
     return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
 
 
-def _log_binom_arr(n, k):
-    """Vectorised log C(n, k); caller guarantees n >= k >= 0 elementwise."""
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-
-
 def _validate_count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer count, got {value!r}")
@@ -298,16 +293,18 @@ def _conditional_law(params: ExperimentParams, rows: int, cols: int, tail: bool 
 
     Both obey R(s, t) = alpha R(s-1, t) + beta R(s-1, t-1) + c R(s, t-1)
     (the tail sums for t >= 1).  P(t | s) starts from NB(mu, c) on its first
-    row and P(0 | 0) alpha**s on its first column; the tail sums from
-    I_c(t, mu) and 1.  Each anti-diagonal s + t = d is one vector update
-    from the two before it; they are stored by t with a zero pad for t = -1.
+    row and P(0 | 0) alpha**s on its first column; the tail sums from the
+    upper tails P(NB(mu, c) >= t), from ``_law_tail``, and 1.  Each
+    anti-diagonal s + t = d is one vector update from the two before it;
+    they are stored by t with a zero pad for t = -1.
     """
     mu, eta = params.mu, params.eta
     m = params.mean_counts / mu
     den = 1.0 + m * (2.0 - eta)
     alpha, beta, c = (1.0 - eta) * (1.0 + m) / den, eta * (1.0 + m) / den, m * (1.0 - eta) / den
     if tail:
-        first_row, first_col = betainc(np.arange(float(cols)), mu, c), np.ones(rows)
+        head, _, rest = _law_tail(mu, c, 1.0, size=cols)
+        first_row, first_col = rest + np.cumsum(np.exp(head)[::-1])[::-1], np.ones(rows)
     else:
         first_row = np.exp(_log_nb_running(mu, c, cols))
         first_col = np.exp(mu * math.log1p(-c) + np.arange(rows) * math.log(alpha))
@@ -332,40 +329,11 @@ def _conditional_law(params: ExperimentParams, rows: int, cols: int, tail: bool 
     )
 
 
-def _joint_square(params: ExperimentParams, n: int) -> np.ndarray:
-    """p(s, t) = p2(s) P(t | s) on s, t < n, its upper triangle mirrored."""
-    table = _marginal_probs(params, n)[:, None] * _conditional_law(params, n, n)
+def _joint_square(params: ExperimentParams, p2: np.ndarray) -> np.ndarray:
+    """p(s, t) = p2(s) P(t | s) on s, t < n = p2.size, its upper triangle
+    mirrored."""
+    table = p2[:, None] * _conditional_law(params, p2.size, p2.size)
     return np.triu(table) + np.triu(table, 1).T
-
-
-def _first_true(pred, hi: int) -> int:
-    """Smallest k >= 0 with pred(k), for a predicate that is false below
-    some k and true from there on; ``hi`` is a first guess, doubled until
-    pred(hi) holds, and the step is found by bisection."""
-    while not pred(hi):
-        hi = 2 * hi + 1
-    lo = -1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _nb_sf(params: ExperimentParams, k) -> float:
-    """P(count > k) under the closed-form marginal: the upper tail of the
-    negative binomial, I_q(k + 1, mu) with q = M/(M + mu)."""
-    q = params.mean_counts / (params.mean_counts + params.mu)
-    return betainc(k + 1.0, params.mu, q)
-
-
-def _nb_quantile(params: ExperimentParams, q: float) -> int:
-    """Smallest k with P(count > k) <= q under the closed-form marginal."""
-    if params.mean_counts == 0.0:
-        return 0
-    return _first_true(lambda k: _nb_sf(params, k) <= q, 1)
 
 
 def joint_table(params: ExperimentParams, tol: float = 1e-12) -> JointDistribution:
@@ -377,14 +345,10 @@ def joint_table(params: ExperimentParams, tol: float = 1e-12) -> JointDistributi
     """
     params.require_lossy()
     tol = _validate_tol(tol)
-    k = _nb_quantile(params, tol / 4.0)
-    cells = (k + 1) ** 2
-    if cells > _MAX_CELLS_DEFAULT:
-        raise TableSizeError(
-            f"table needs ({k + 1})**2 = {cells} cells for tol={tol}, "
-            f"exceeding the budget of {_MAX_CELLS_DEFAULT}"
-        )
-    return _assembled(JointDistribution, _joint_square(params, k + 1), params=params, tol=tol)
+    side, m = math.isqrt(_MAX_CELLS_DEFAULT), params.mean_counts
+    refuse = f"table needs over {side}**2 cells for tol={tol}, the budget of {_MAX_CELLS_DEFAULT}"
+    head, k, _ = _law_tail(params.mu, m / (m + params.mu), tol / 4.0, side, refuse)
+    return _assembled(JointDistribution, _joint_square(params, np.exp(head)), params=params, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -392,47 +356,155 @@ def joint_table(params: ExperimentParams, tol: float = 1e-12) -> JointDistributi
 # ---------------------------------------------------------------------------
 
 
+def _log_ratios(a: float, x: float, lo: int, hi: int) -> np.ndarray:
+    """log p(k+1)/p(k) = log((k + a) x / (k + 1)) for k = lo..hi-1."""
+    return np.log((np.arange(lo, hi) + a) * x / np.arange(lo + 1.0, hi + 1.0))
+
+
 def _log_nb_running(mu: float, ratio: float, n: int) -> np.ndarray:
-    """Log pmf of NB(mu, ratio) at k = 0..n-1.
+    """Log pmf of NB(mu, ratio) at k = 0..n-1; NB(mu, 0) is the point mass at 0.
 
     mu*log(1 - ratio) plus an exact running sum of the O(1) log-ratios
     log((j + mu) * ratio / (j + 1)).  Unlike log-gamma differences at large
     mu, this loses no digits to cancellation.
     """
-    steps = np.log((np.arange(n - 1) + mu) * ratio / np.arange(1.0, n))
-    return _exact_cumsum(steps, mu * math.log1p(-ratio))
+    if ratio == 0.0:
+        return np.where(np.arange(n) == 0, 0.0, -np.inf)
+    return _exact_cumsum(_log_ratios(mu, ratio, 0, n - 1), mu * math.log1p(-ratio))
 
 
 def _exact_cumsum(steps: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """``start`` followed by ``start`` plus the running sums of ``steps``.
+    """``start`` followed by ``start`` plus the running sums of ``steps``."""
+    out = np.empty(steps.size + 1)
+    out[0] = start
+    _cumsum_into(out[1:], steps, start)
+    return out
+
+
+def _cumsum_into(out: np.ndarray, steps: np.ndarray, start: float, carry=None):
+    """Write ``start`` plus the running sums of ``steps`` into ``out``,
+    continuing the sums of an earlier call from its returned ``carry``.
 
     Rounding does not accumulate along the sum: each step splits into a
     multiple of 2**-32, whose sums are exact below 2**53 units, and a
-    remainder under 2**-33.  The sums are taken in place (3e7 steps near
-    the level budget of a state).
+    remainder under 2**-33 summed in order, so a sum continued from a carry
+    equals the sum in one call bit for bit.  The sums are taken in place
+    (3e7 steps near the level budget of a state).
     """
-    coarse = np.rint(np.ldexp(steps, 32))
-    fine = steps - np.ldexp(coarse, -32)
-    out = np.empty(steps.size + 1)
-    out[0] = start
-    np.ldexp(np.cumsum(coarse, out=coarse), -32, out=out[1:])
-    out[1:] += np.cumsum(fine, out=fine)
-    out[1:] += start
-    return out
+    coarse = steps * 2.0**32
+    np.rint(coarse, out=coarse)
+    fine = coarse * -(2.0**-32)
+    fine += steps
+    if carry is not None:
+        coarse[0] += carry[0]
+        fine[0] += carry[1]
+    np.multiply(coarse.cumsum(out=coarse), 2.0**-32, out=out)
+    out += fine.cumsum(out=fine)
+    out += start
+    return (coarse[-1], fine[-1]) if steps.size else carry
+
+
+_LOG_PIN = 60.0 * math.log(2.0)  # the rest is pinned to 2**-60 of the cut
+
+
+def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", size: int = 1):
+    """Head and upper tail of p(k) = (1-x)**a prod_{j<k} (j+a) x/(j+1): NB(a, x)
+    for a >= 1 (x = 0: the point mass at 0), Bin(n, eta) for a = -n and
+    x = -eta/(1-eta).  The cut is tol * P(X >= size - 1).
+
+    The head, the log pmf as one exact running sum (bit for bit a prefix of
+    ``_log_nb_running``), is extended in place until the rest R beyond its
+    last term N is below the cut: the term ratios fall toward
+    x0 = max(x, 0), so with rho = p(N+1)/p(N),
+    p(N) rho/(1-x0) <= R <= p(N) rho/(1-rho).  R is then summed on as ratio
+    products until these bounds, taken further out, differ by 2**-60 of the
+    cut, and their mean is added.  P(X > j) is summed in reverse from N,
+    scaled by the cut, back to the first j above it.  Returns the log pmf at
+    0..k, k the smallest k >= size - 1 with P(X > k) <= cut, and P(X > k).
+    A k at or beyond ``cap`` raises TableSizeError(refuse), at once where
+    the terms at and past cap alone outweigh tol or the pmf still rises at
+    cap.
+    """
+    if cap < size:
+        raise TableSizeError(refuse)
+    if x == 0.0:
+        return np.append(0.0, np.full(size - 1, -np.inf)), size - 1, 0.0
+    end, x0, log_cut = (int(1 - a) if a <= 0 else math.inf), max(x, 0.0), math.log(tol)
+    mean, decay = a * x / (1.0 - x), (-1.0 / math.log(x) if x > 0.0 else 0.0)
+
+    def log_pmf(j):  # the log-gamma form, for the first guess and the budget
+        gamma = (math.lgamma(j + a) - math.lgamma(a) if a > 0
+                 else math.lgamma(1 - a) - math.lgamma(1 - a - j))
+        return a * math.log1p(-x) + j * math.log(abs(x)) + gamma - math.lgamma(j + 1.0)
+
+    if size > 1:  # below the cut: P(X >= size - 1) >= p(j)/(1-x0), j = max(size - 1, mean)
+        log_cut += min(log_pmf(max(size - 1, int(mean))) - math.log1p(-x0), 0.0)
+
+    def guess(nats):  # where p falls below e**-nats: a gamma-like bulk, then its decay
+        return int(mean + math.sqrt(2.0 * nats * mean / (1.0 - x)) + 2.0 / 3.0 * nats * decay) + 2
+
+    n = guess(_LOG_PIN - log_cut)  # with room to spare where a second fill costs more
+    n = min(max(n + n // 16 + 16 if n < 4096 else guess(-log_cut), size + 1), end)
+    if n > cap:
+        rising = tol < 0.5 and (cap + a) * x >= cap + 1.0  # then P(X >= cap) >= 1/2
+        if rising or log_pmf(cap) - math.log1p(-x0) > math.log(tol):
+            raise TableSizeError(refuse)
+        n = cap
+    buf = np.empty(min(n + n // 4 + 64, end))
+    buf[0], filled, carry = a * math.log1p(-x), 1, None
+    while True:
+        if n > buf.size:
+            buf = np.concatenate((buf[:filled], np.empty(n + n // 4 - filled)))
+        carry = _cumsum_into(buf[filled:n], _log_ratios(a, x, filled - 1, n - 1), buf[0], carry)
+        filled, head = n, buf[:n]
+        rho, miss = (n - 1 + a) * x / n, 0.0
+        if n >= end:  # the binomial's last term: rho = 0
+            break
+        if rho < 1.0:  # over the cut: the upper bound, and the pin of its gap
+            over = float(head[-1]) + math.log(rho / (1.0 - rho)) - log_cut
+            gap = (rho - x0) / (1.0 - x0)
+            miss = max(over, over + math.log(max(gap, 1e-300)) + _LOG_PIN)
+            if over <= 0.0:
+                break
+        if n >= cap:
+            raise TableSizeError(refuse)
+        n = int(min(n + 1 + (min(over / -math.log(rho), 4 * n) if rho < 1.0 else n), end, cap))
+    scale = max(log_cut, -700.0)  # so that no tail overflows
+    rest, last, top = 0.0, math.exp(float(head[-1]) - scale), n - 1
+    if miss > 0.0:  # the terms that pin the rest, as ratio products in chunks
+        stop = min(top + int(miss / -math.log(rho)) + 1, end - 1)
+        for lo in range(top, stop, 1 << 20):
+            j = np.arange(lo, min(lo + (1 << 20), stop), dtype=float)
+            terms = ((j + a) * x / (j + 1.0)).cumprod() * last
+            rest, last, top = rest + float(terms.sum()), float(terms[-1]), int(j[-1]) + 1
+    rho = (top + a) * x / (top + 1)
+    acc = rest + last * max(rho, 0.0) * (1.0 / (1.0 - rho) + 1.0 / (1.0 - x0)) / 2.0
+    hi, level, block = n, math.exp(log_cut - scale), (n if size > 1 else max(n - int(mean), 64))
+    while True:  # tails[i] = P(X > hi - 2 - i) and acc = P(X > hi - 1), scaled
+        lo = max(hi - block, size - 1)
+        tails = np.exp(head[hi - 1:lo:-1] - scale).cumsum() + acc
+        if size > 1:  # the cut itself, from the whole scan down to size - 1
+            level = tol * (float(tails[-1]) + math.exp(float(head[lo]) - scale))
+        kept = int(tails.searchsorted(level, side="right"))
+        if kept < tails.size or lo == size - 1:
+            k = hi - 1 - kept
+            return buf[:k + 1], k, float(tails[kept - 1] if kept else acc) * math.exp(scale)
+        hi, acc, block = lo + 1, float(tails[-1]), 4 * block
 
 
 def _log_nb_arr(mu: float, m: float, t) -> np.ndarray:
     """Log multithermal pmf for mode count mu and mean m, vectorised in t:
-    NB(mu, m/(m + mu)) as a running sum up to the largest t.  Counts beyond
-    _MAX_CELLS_DEFAULT, where that sum would take as many terms, use the
-    gamma-function form."""
+    NB(mu, m/(m + mu)) as a running sum up to the largest t.  A few counts
+    beyond _MAX_CELLS_DEFAULT, where that sum would take far more terms than
+    there are counts, use the gamma-function form."""
     t = np.asarray(t, dtype=float)
     if m == 0.0:
         return np.where(t == 0.0, 0.0, -np.inf)
     top = float(t.max())
-    if top > _MAX_CELLS_DEFAULT:
+    if top > max(_MAX_CELLS_DEFAULT, 64 * t.size):
+        lgamma = np.frompyfunc(math.lgamma, 1, 1)
         return (
-            _log_binom_arr(t + mu - 1.0, t)
+            np.asarray(lgamma(t + mu) - lgamma(t + 1.0), dtype=float) - math.lgamma(mu)
             + t * (math.log(m) - math.log(mu))
             - (t + mu) * math.log1p(m / mu)
         )
@@ -460,10 +532,10 @@ def marginal_dist(params: ExperimentParams, tol: float = 1e-12) -> PhotoCountDis
     """Single-beam count distribution truncated to omitted mass <= tol.
     Refuses a support of more than _MAX_CELLS_DEFAULT counts."""
     tol = _validate_tol(tol)
-    k = _nb_quantile(params, tol)
-    if k + 1 > _MAX_CELLS_DEFAULT:
-        raise TableSizeError(f"marginal needs {k + 1} counts, over the {_MAX_CELLS_DEFAULT} budget")
-    return _assembled(PhotoCountDistribution, _marginal_probs(params, k + 1), tol=tol)
+    refuse = f"marginal needs over {_MAX_CELLS_DEFAULT} counts, the budget"
+    m = params.mean_counts
+    head = _law_tail(params.mu, m / (m + params.mu), tol, _MAX_CELLS_DEFAULT, refuse)[0]
+    return _assembled(PhotoCountDistribution, np.exp(head), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +556,6 @@ def brute_force_joint(mu: int, mean_photons: float, eta: float) -> JointDistribu
     The geometric cutoff is the smallest that leaves a tail below 1e-12
     summed over modes.
     """
-    from scipy.signal import convolve2d  # only this oracle needs it; import is slow
-
     if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)):
         raise ParameterError(f"mu must be an integer for direct enumeration, got {mu!r}")
     if not 1 <= mu <= 4:
@@ -515,7 +585,7 @@ def brute_force_joint(mu: int, mean_photons: float, eta: float) -> JointDistribu
     per_mode = weighted.T @ thin
     table = per_mode
     for _ in range(mu - 1):
-        table = convolve2d(table, per_mode)
+        table = _convolve_full(table, per_mode)
     # Convolution order breaks bitwise symmetry in the last ulp; mirror the
     # upper triangle so the stored table is exactly symmetric.
     table = np.triu(table) + np.triu(table, 1).T
@@ -525,3 +595,13 @@ def brute_force_joint(mu: int, mean_photons: float, eta: float) -> JointDistribu
         ExperimentParams(mu, eta, eta * n_mean, allow_unit_eta=True)
     )
     return _assembled(JointDistribution, table, params=provenance, tol=_ORACLE_TAIL)
+
+
+def _convolve_full(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Full 2-D convolution: row i of y adds x times band[b, j] = y[i, j - b]."""
+    cols = x.shape[1] + y.shape[1] - 1
+    out, pad = np.zeros((x.shape[0] + y.shape[0] - 1, cols)), np.zeros(cols + x.shape[1] - 1)
+    for i, row in enumerate(y):
+        pad[x.shape[1] - 1:cols] = row
+        out[i:i + x.shape[0]] += x @ np.lib.stride_tricks.sliding_window_view(pad, cols)[::-1]
+    return out

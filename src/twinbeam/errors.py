@@ -12,8 +12,9 @@ class ParameterError(TwinbeamError, ValueError):
 class ConvergenceError(TwinbeamError):
     """An assembled distribution failed its own check.
 
-    Raised when assembled masses or member weights exceed their exact
-    totals beyond rounding.  The joint-table, marginal and conditional
+    Raised when assembled masses exceed their exact totals beyond
+    rounding, or when the marginal behind an above(t*) selection, summed
+    with its tail, misses 1.  The joint-table, marginal and conditional
     count-law kernels, ``joint_prob`` and the measurement route behind
     ``verify=True`` do not raise it on the validated domain (mu >= 1,
     0 < eta < 1, M >= 0).  Work that cannot finish within a budget is

@@ -21,7 +21,7 @@ from twinbeam import (
     marginal_dist,
 )
 
-from twinbeam.core import _joint_square
+from twinbeam.core import _joint_square, _marginal_probs
 
 from conftest import PARAMS_A, PARAMS_B, domain_st
 
@@ -230,13 +230,13 @@ def test_quantiles_match_scipy_stats():
     from scipy import stats  # the oracle; the package keeps it off its import path
 
     from twinbeam.conditional import _thinned_support
-    from twinbeam.core import _nb_quantile
+    from twinbeam.core import _law_tail
 
     for mu in (1.0, 2.3, 25.0, 197.0, 1000.0):
         for m in (0.1, 1.5, 13.4, 80.0):
             nb = stats.nbinom(mu, mu / (mu + m))
             for q in (1e-15, 2.5e-13, 1e-10, 1e-8):
-                k = _nb_quantile(ExperimentParams(mu, 0.3, m), q)
+                k = _law_tail(mu, m / (m + mu), q)[1]
                 assert nb.sf(k) <= q and (k == 0 or nb.sf(k - 1) > q)
     for n in (0, 1, 10, 57, 1000, 10**5):
         for eta in (1e-6, 0.056, 0.3, 0.9):
@@ -245,14 +245,57 @@ def test_quantiles_match_scipy_stats():
                 assert _thinned_support(n, eta, tol) == expected
 
 
+_SCIPY_LOADED = ("print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+
+
 def test_import_leaves_slow_scipy_modules_out():
-    code = ("import sys, twinbeam; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize', "
-            "'scipy.linalg') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # neither the package nor its command line loads any scipy module
+    runs = [
+        f"import sys, twinbeam; {_SCIPY_LOADED}",
+        "import runpy, sys\n"
+        "sys.argv = ['twinbeam', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('twinbeam', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"{_SCIPY_LOADED}",
+    ]
+    for code in runs:
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+_ENTRY_POINTS = """
+import sys, tempfile
+import twinbeam as tb
+rules = [tb.SelectionRule.exact(3), tb.SelectionRule.above(2), tb.SelectionRule.below(4),
+         tb.SelectionRule.from_set([0, 2, 5])]
+for params in (tb.ExperimentParams(197.0, 0.06, 13.4), tb.ExperimentParams(2.0, 0.5, 3.0)):
+    table = tb.joint_table(params)
+    tb.marginal_dist(params)
+    for rule in rules:
+        tb.cond_count_dist(params, rule, verify=True)
+        tb.build_conditional(params, rule)
+    tb.nongauss_report(params, 3)
+    tb.sweep("eta", [params.eta], {"M_t": 2.0, "t": 3, "mu": params.mu})
+    record = tb.sample_run(params, 3000, seed=1)
+    report = tb.estimate_params(record, refine=True, n_bootstrap=5)
+    tb.fidelity(table, tb.joint_table(report.params(), tol=1e-9))
+with tempfile.TemporaryDirectory() as out:
+    for figure in tb.FIGURE_IDS:
+        tb.reproduce(figure, out)
+"""
+
+
+def test_entry_points_leave_scipy_out():
+    # a lazy import would pass the import test above and fail here
+    out = subprocess.run(
+        [sys.executable, "-c", _ENTRY_POINTS + _SCIPY_LOADED], capture_output=True, text=True
+    )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_noise_reduction_identity_from_table(table_a, table_b):
@@ -325,7 +368,7 @@ def test_joint_prob_at_tiny_efficiency_is_fast_and_exact():
         start = time.perf_counter()
         value = joint_prob(params, s, s)
         assert time.perf_counter() - start < 0.1
-        assert abs(value - _joint_square(params, s + 1)[s, s]) <= 1e-14
+        assert abs(value - _joint_square(params, _marginal_probs(params, s + 1))[s, s]) <= 1e-14
 
 
 def test_convergence_guard_is_unreachable_for_valid_params():
@@ -347,4 +390,5 @@ def test_joint_prob_is_a_probability(params, s, t):
     value = joint_prob(params, s, t)
     assert 0.0 <= value <= 1.0
     assert value == joint_prob(params, t, s)
-    assert abs(value - _joint_square(params, max(s, t) + 1)[s, t]) <= 1e-14
+    table = _joint_square(params, _marginal_probs(params, max(s, t) + 1))
+    assert abs(value - table[s, t]) <= 1e-14

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from twinbeam import (
@@ -88,7 +88,13 @@ rule_st = st.one_of(
 )
 
 
+_SUBNORMAL = ExperimentParams(1.0, 0.5, 5e-324)  # the recurrence ratio c underflows to 0
+
+
 @given(params=domain_st, rule=rule_st)
+@example(params=_SUBNORMAL, rule=SelectionRule.above(-1))
+@example(params=_SUBNORMAL, rule=SelectionRule.below(3))
+@example(params=_SUBNORMAL, rule=SelectionRule.from_set([0, 2]))
 @settings(max_examples=40, deadline=None)
 def test_whole_domain_returns_valid_results_or_refuses_quickly(params, rule):
     table = _timed(lambda: joint_table(params))
