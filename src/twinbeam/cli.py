@@ -181,7 +181,10 @@ def _run(args) -> int:
 
     elif args.command == "sweep":
         axis = _AXIS_FLAGS[args.axis]
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError:
+            raise TwinbeamError(f"--values takes comma-separated numbers, got {args.values!r}")
         fixed = {}
         for flag, key in (("mt", "M_t"), ("t", "t"), ("eta", "eta"), ("mu", "mu")):
             value = getattr(args, flag)

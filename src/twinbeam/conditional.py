@@ -35,12 +35,14 @@ NB(t+mu, rr) photons give NB(t+mu, c) counts, so
 
     P(s | t) = [Bin(t, eta) * NB(t + mu, c)](s),   c = M*(1-eta) / (mu + M*(2-eta)),
 
-c being the ratio of the recurrence's first row.  ``povm_count_dist``
-evaluates this convolution for one state.  Behind ``verify=True`` the
-p2(t)/P(A)-weighted mixture of them must agree with the Bayes route to
-10*tol; it is refused up front (TableSizeError) when it needs more than
-2*_MAX_CELLS_DEFAULT products, sum_{t in A} (min(t, s_max) + 1)(s_max + 1),
-the budget of the strip.
+c being the ratio of the recurrence's first row.  The count support of t
+sums the two laws' quantiles at tol/8 each, so P(S > s_max | t) <= tol/4;
+P(s | t) grows stochastically with t, so the support of max(A) bounds any
+selection.  ``povm_count_dist`` evaluates this convolution for one state.
+Behind ``verify=True`` the p2(t)/P(A)-weighted mixture of them must agree
+with the Bayes route to 10*tol; it is refused up front (TableSizeError)
+when it needs more than 2*_MAX_CELLS_DEFAULT products,
+sum_{t in A} (min(t, s_max) + 1)(s_max + 1), the budget of the strip.
 """
 
 from __future__ import annotations
@@ -394,26 +396,13 @@ def _selection(
 # ---------------------------------------------------------------------------
 
 
-def _thinned_support(n: int, eta: float, tol: float, cap=math.inf, refuse: str = "") -> int:
-    """Upper count bound for a state whose photon support ends at n: the
-    smallest s >= 4 with P(Bin(n, eta) > s) <= tol/4, from one ``_law_tail``
-    head of the binomial."""
-    return max(_law_tail(-float(n), -eta / (1.0 - eta), tol / 4.0, cap, refuse)[1], 4)
-
-
-def _count_support(params: ExperimentParams, t: int, tol: float, cap: int, refuse: str) -> int:
-    """Upper count bound for the exact-t state: the thinned support of its
-    photon top.  Beyond 2**16 photon levels (small eta) the top costs more
-    to sum than the count law Bin(t, eta) * NB(t + mu, c) itself, which is
-    then bounded by the two laws' quantiles at tol/8 each."""
+def _count_support(params: ExperimentParams, t: int, tol: float, cap=math.inf, refuse="") -> int:
+    """Count support (at least 4) of trigger t and of every mixture whose
+    largest member is t: two quantiles at tol/8 (see the module docstring)."""
     mu, eta, m = params.mu, params.eta, params.mean_counts
-    try:
-        top = t + _law_tail(t + mu, _ratio(params)[0], tol, 2**16)[1]
-    except TableSizeError:
-        c = m * (1.0 - eta) / (mu + m * (2.0 - eta))
-        thinned = _law_tail(-float(t), -eta / (1.0 - eta), tol / 8.0, cap, refuse)[1]
-        return max(thinned + _law_tail(t + mu, c, tol / 8.0, cap, refuse)[1], 4)
-    return _thinned_support(top, eta, tol, cap, refuse)
+    c = m * (1.0 - eta) / (mu + m * (2.0 - eta))
+    thinned = _law_tail(-float(t), -eta / (1.0 - eta), tol / 8.0, cap, refuse)[1]
+    return max(thinned + _law_tail(t + mu, c, tol / 8.0, cap, refuse)[1], 4)
 
 
 def _count_law(params: ExperimentParams, t: int, size: int) -> np.ndarray:
@@ -422,12 +411,7 @@ def _count_law(params: ExperimentParams, t: int, size: int) -> np.ndarray:
     if m == 0.0:  # vacuum: only t = 0 occurs, and it yields no counts
         return np.eye(1, size)[0]
     c = m * (1.0 - eta) / (mu + m * (2.0 - eta))
-    k = np.arange(min(t, size - 1) + 1, dtype=float)
-    log_binom = (
-        _exact_cumsum(np.log((t - k[:-1]) / k[1:]))
-        + k * math.log(eta)
-        + (t - k) * math.log1p(-eta)
-    )
+    log_binom = _log_nb_running(-float(t), -eta / (1.0 - eta), min(t, size - 1) + 1)
     with np.errstate(under="ignore"):
         return np.convolve(np.exp(log_binom), np.exp(_log_nb_running(t + mu, c, size)))[:size]
 
@@ -437,12 +421,12 @@ def povm_count_dist(
 ) -> PhotoCountDistribution:
     """Count distribution via the measurement route: the state's photon law,
     t + NB(t+mu, rr), binomially thinned in closed form (see the module
-    docstring); by default up to the thinned support of its last level."""
+    docstring); by default up to the count support of its trigger value."""
     params = state.params
     params.require_lossy()
     tol = _validate_tol(tol)
     if s_max is None:
-        s_max = _thinned_support(int(state.gammas[-1]), params.eta, tol)
+        s_max = _count_support(params, state.t, tol)
     return _assembled(PhotoCountDistribution, _count_law(params, state.t, s_max + 1), tol=tol)
 
 
@@ -454,40 +438,16 @@ def cond_count_dist(
 ) -> PhotoCountDistribution:
     """Count distribution of the selected signal state.
 
-    Every rule takes the Bayes route: the accepted joint-table columns are
-    summed on the recurrence kernel and divided by the acceptance probability.
-    ``verify=True`` additionally evaluates the measurement route (the
-    p2-weighted mixture of the members' thinned photon distributions) and
-    raises VerificationError if the two disagree beyond 10*tol.
+    Every rule takes the Bayes route, sum_{t in A} p(s, t) / P(A) up to the
+    count support of max(A): above(t*) reads the kernel's tail column
+    P(count > t* | s), the other rules sum its accepted columns.
+    ``verify=True`` also evaluates the measurement route (the p2-weighted
+    mixture of the members' count laws) and raises VerificationError if the
+    two disagree beyond 10*tol.
     """
     params.require_lossy()
     tol = _validate_tol(tol)
-    if rule.kind == "exact":
-        return _exact_count_dist(params, rule.threshold, tol, verify)  # type: ignore[arg-type]
-    return _selected_count_dist(params, rule, *_selection(params, rule, tol), tol, verify)
-
-
-def _exact_count_dist(
-    params: ExperimentParams, t: int, tol: float, verify: bool
-) -> PhotoCountDistribution:
-    """The one-column case of ``_selected_count_dist``; exact rules enter
-    here, so a tracer can tell them apart from set-like selections."""
-    rule = SelectionRule.exact(t)
-    return _selected_count_dist(params, rule, *_selection(params, rule, tol), tol, verify)
-
-
-def _selected_count_dist(
-    params: ExperimentParams,
-    rule: SelectionRule,
-    values: np.ndarray,
-    p2: np.ndarray,
-    success: float,
-    tol: float,
-    verify: bool,
-) -> PhotoCountDistribution:
-    """sum_{t in values} p(s, t) / success for counts s up to the support of
-    the largest member.  above(t*) takes the tail column P(count > t* | s);
-    the other rules sum the accepted columns of P(t | s)."""
+    values, p2, success = _selection(params, rule, tol)
     if params.mean_counts == 0.0:  # only t = 0 is possible, and it is accepted
         return PhotoCountDistribution(probs=np.array([1.0]), tail_bound=0.0, tol=tol)
     width = rule.threshold + 2 if rule.kind == "above" else int(values[-1]) + 1

@@ -425,7 +425,7 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
     the terms at and past cap alone outweigh tol or the pmf still rises at
     cap.
     """
-    if cap < size:
+    if cap < size or x >= 1.0:  # x = 1: M/mu beyond 2**53, no finite support
         raise TableSizeError(refuse)
     if x == 0.0:
         return np.append(0.0, np.full(size - 1, -np.inf)), size - 1, 0.0
@@ -508,7 +508,8 @@ def _log_nb_arr(mu: float, m: float, t) -> np.ndarray:
             + t * (math.log(m) - math.log(mu))
             - (t + mu) * math.log1p(m / mu)
         )
-    return _log_nb_running(mu, m / (m + mu), int(top) + 1)[t.astype(np.intp)]
+    steps = _log_ratios(mu, m / (m + mu), 0, int(top))  # from mu*log(1 - q), q unrounded
+    return _exact_cumsum(steps, -mu * math.log1p(m / mu))[t.astype(np.intp)]
 
 
 def _marginal_probs(params: ExperimentParams, n: int) -> np.ndarray:

@@ -78,6 +78,8 @@ def _validate_sampling(params: ExperimentParams) -> None:
         raise ParameterError(
             f"sampling requires an integer number of physical modes, got mu={params.mu}"
         )
+    if params.lambda_sq >= 1.0:  # N/mu beyond 2**53: no photon law to draw from
+        raise ParameterError(f"mean photons {params.mean_photons} too large to sample")
 
 
 def _draw_block(params: ExperimentParams, n: int, rng: np.random.Generator) -> np.ndarray:

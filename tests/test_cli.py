@@ -32,6 +32,11 @@ def test_computation_error_exit_1(tmp_path):
     )
     assert cp.returncode == 1
     assert "error:" in cp.stderr
+    # a grid value that is not a number is one error line, not a traceback
+    cp = run_cli("sweep", "--axis", "eta", "--values", "a,b", "--mt", "4", "--t", "5",
+                 "--mu", "25")
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
 
 
 def test_joint_writes_csv(tmp_path):

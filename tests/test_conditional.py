@@ -23,6 +23,8 @@ from twinbeam import (
     weight,
 )
 
+from twinbeam.conditional import _count_law, _selection
+
 from conftest import geometric_cutoff, photon_conditional_oracle
 
 params_st = st.builds(
@@ -326,6 +328,26 @@ def test_selection_matches_scalar_series(point, rule, params_a, params_b):
     for s in range(0, len(dist), 2):
         ref = math.fsum(joint_prob(params, s, t) for t in ts) / p_accept
         assert dist.probs[s] == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("rule", [r for r in SELECTIONS if r.kind != "set"], ids=lambda r: r.kind)
+@pytest.mark.parametrize("point", ["a", "b", "small", "tiny-eta", "small-M"])
+def test_count_support_leaves_a_quarter_tol(point, rule, tol, params_a, params_b):
+    # the support sums the Bin(t, eta) and NB(t + mu, c) quantiles at tol/8
+    # for the largest accepted t; the count law of that t, and the mixture
+    # of every accepted t, must leave at most tol/4 beyond it
+    params = {"a": params_a, "b": params_b, "small": SMALL_MU,
+              "tiny-eta": ExperimentParams(1.0, 1e-6, 0.1),
+              "small-M": ExperimentParams(2.3, 0.35, 0.01)}[point]
+    last = len(cond_count_dist(params, rule, tol=tol)) - 1
+    values, p2, success = _selection(params, rule, tol)
+    size = 4 * last + 64
+    top = _count_law(params, int(values[-1]), size)
+    assert math.fsum(top.tolist()) == pytest.approx(1.0, abs=1e-14)  # size holds the law
+    mixture = sum(w * _count_law(params, t, size) for t, w in zip(values.tolist(), p2 / success))
+    for law in (top, mixture):
+        assert math.fsum(law[last + 1:].tolist()) <= tol / 4.0
 
 
 @pytest.mark.parametrize("rule", [SelectionRule.above(11), SelectionRule.from_set([4, 11, 19])],

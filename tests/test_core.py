@@ -12,13 +12,21 @@ from hypothesis import example, given, settings, strategies as st
 from twinbeam import (
     ExperimentParams,
     ParameterError,
+    SelectionRule,
     TableSizeError,
+    TwinbeamError,
     brute_force_joint,
+    build_conditional,
+    cond_count_dist,
     joint_prob,
     joint_table,
     log_binomial,
+    log_marginal,
     marginal,
     marginal_dist,
+    nongauss_report,
+    povm_count_dist,
+    sample_run,
 )
 
 from twinbeam.core import _joint_square, _marginal_probs
@@ -229,7 +237,6 @@ def test_joint_table_cell_budget():
 def test_quantiles_match_scipy_stats():
     from scipy import stats  # the oracle; the package keeps it off its import path
 
-    from twinbeam.conditional import _thinned_support
     from twinbeam.core import _law_tail
 
     for mu in (1.0, 2.3, 25.0, 197.0, 1000.0):
@@ -242,7 +249,7 @@ def test_quantiles_match_scipy_stats():
         for eta in (1e-6, 0.056, 0.3, 0.9):
             for tol in (1e-14, 1e-12, 1e-10, 1e-6):
                 expected = max(int(stats.binom.isf(tol / 4.0, n, eta)), 4)
-                assert _thinned_support(n, eta, tol) == expected
+                assert max(_law_tail(-float(n), -eta / (1.0 - eta), tol / 4.0)[1], 4) == expected
 
 
 _SCIPY_LOADED = ("print(sorted(m for m in sys.modules "
@@ -392,3 +399,40 @@ def test_joint_prob_is_a_probability(params, s, t):
     assert value == joint_prob(params, t, s)
     table = _joint_square(params, _marginal_probs(params, max(s, t) + 1))
     assert abs(value - table[s, t]) <= 1e-14
+
+
+# --- mean counts far beyond mu ------------------------------------------------
+
+# q = M/(M + mu) rounds to 1 once M/mu passes about 2**53: the marginal's
+# support is then endless, and the sampler's photon law has no success
+# probability.  Such calls raised ZeroDivisionError, a math domain error or
+# numpy's ValueError; each must return or raise a TwinbeamError.
+_HUGE_MEAN_CALLS = {
+    "joint_table": lambda p: joint_table(p),
+    "joint_prob": lambda p: joint_prob(p, 3, 3),
+    "marginal": lambda p: marginal(p, 3),
+    "marginal_dist": lambda p: marginal_dist(p),
+    "exact": lambda p: cond_count_dist(p, SelectionRule.exact(3), verify=True),
+    "above": lambda p: cond_count_dist(p, SelectionRule.above(3)),
+    "below": lambda p: cond_count_dist(p, SelectionRule.below(3), verify=True),
+    "state": lambda p: povm_count_dist(build_conditional(p, SelectionRule.exact(3))),
+    "nongauss": lambda p: nongauss_report(p, 3),
+    "sample": lambda p: sample_run(p, 4, 1),
+}
+
+
+@pytest.mark.parametrize("mean", [1e16, 1e300])
+@pytest.mark.parametrize("call", sorted(_HUGE_MEAN_CALLS))
+def test_huge_mean_returns_or_refuses(call, mean):
+    try:
+        _HUGE_MEAN_CALLS[call](ExperimentParams(1.0, 0.5, mean))
+    except TwinbeamError:
+        pass
+
+
+@pytest.mark.parametrize("mean", [1e8, 1e12, 1e14])
+def test_log_marginal_keeps_its_digits_at_large_mean(mean):
+    # log(q**t (1 - q)) at mu = 1; the sum started at mu*log1p(-q), whose
+    # rounded q put it 3.9e-9 (M = 1e8) to 8.0e-4 (M = 1e14) off in marginal
+    exact = -3.0 * math.log1p(1.0 / mean) - math.log1p(mean)
+    assert log_marginal(ExperimentParams(1.0, 0.5, mean), 3) == pytest.approx(exact, rel=1e-15)

@@ -128,7 +128,11 @@ def test_output_dir_env(tmp_path, monkeypatch):
 # the series stopped at tol 1e-6; its cells are within 4e-15 of joint_prob)
 # and 5e-13 in entropy.  The conditional and sweep pins hold the exact-t
 # state as t + NB(t+mu, rr): the conditional support ends where that tail
-# drops to tol (8 rows, not 48; every kept cell unchanged).  The sweep pins
+# drops to tol (8 rows, not 48; every kept cell unchanged).  The conditional
+# pins then moved once more when the count support became the sum of the
+# Bin(t, eta) and NB(t + mu, c) quantiles of the count law at tol/8 each, in
+# place of the thinned photon top: 7 rows, not 8, every kept cell unchanged,
+# tail_bound 3.04e-5 (was 4.93e-6, within tol = 1e-3).  The sweep pins
 # hold delta as the relative entropy of the photon-total laws: delta is
 # within 1.3e-15 of a 40-digit sum (it moved by up to 7.8e-15) and S_ref
 # within 6e-15 (S_state = S_ref - delta).
@@ -146,8 +150,8 @@ _GOLDEN_SHA256 = {
     ("joint", "json"): "453baebfd18811561ca7dfa6676f2e21ef1bfff3fba3c5e076ce04ca581e0a2a",
     ("marginal", "csv"): "5cd680a786672a100685220217c54048c0f3a4ccd35158a57e21639353c8b8d1",
     ("marginal", "json"): "a9ad29ede1d0dd36c6431fbf65d84f1507fd25533ca69155553913a037e40125",
-    ("conditional", "csv"): "db4bee571730ffc2082707ac44b48b0cdb6b40de12d68a9c930a9784c026c185",
-    ("conditional", "json"): "6ee0eee98fc8a2a4c7f45c9cf980f87eadacb96810977d02caf4e59c08346537",
+    ("conditional", "csv"): "fb39fab95d078cbba82f735c357a7b43171d574b56c99f9991e4a28b0b13cb20",
+    ("conditional", "json"): "6543d776f0de483a86db153f0f7eaa570ec56b98316a099fb18a960ce2246b35",
     ("sample", "csv"): "52f47ae859188e226dba3919675f94fe290a8ae212ea47b733512a68e2ab138a",
     ("sample", "json"): "1bebc9387457458753836ac6cc013ab8d5ca8ed6f5303ea3ad3833c1241d1287",
     ("sweep", "csv"): "0661fb74961372e8bfec5afc8a93c0df658326f010c33bdcb79a3483190ddffc",
