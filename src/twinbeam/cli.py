@@ -124,8 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="shot record (csv or json)")
     p.add_argument("--refine", action="store_true",
                    help="maximum-likelihood refinement of (mu, M)")
-    p.add_argument("--bootstrap", type=int, default=200)
-    p.add_argument("--bootstrap-seed", type=int, default=0)
+    p.add_argument("--bootstrap", type=int, default=200,
+                   help="kept for compatibility and ignored: errors are the delta method's")
+    p.add_argument("--bootstrap-seed", type=int, default=0,
+                   help="kept for compatibility and ignored")
     p.add_argument("--no-fidelity", action="store_true",
                    help="skip the model-table fidelity score")
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -198,19 +200,13 @@ def _run(args) -> int:
     elif args.command == "estimate":
         _json_only("estimate --out", args.out)
         record = serialize.read_record(args.input)
-        report = estimate_params(
-            record,
-            refine=args.refine,
-            n_bootstrap=args.bootstrap,
-            bootstrap_seed=args.bootstrap_seed,
-            compute_fidelity=not args.no_fidelity,
-        )
+        report = estimate_params(record, refine=args.refine, compute_fidelity=not args.no_fidelity)
         se = report.standard_errors
         print(f"shots      : {report.n_shots}")
-        print(f"mean counts: {report.M_hat!r} +- {se.get('M', float('nan'))!r}")
-        print(f"efficiency : {report.eta_hat!r} +- {se.get('eta', float('nan'))!r}")
-        print(f"modes      : {report.mu_hat!r} +- {se.get('mu', float('nan'))!r}")
-        print(f"noise red. : {report.R_hat!r} +- {se.get('R', float('nan'))!r}")
+        print(f"mean counts: {report.M_hat!r} +- {se['M']!r}")
+        print(f"efficiency : {report.eta_hat!r} +- {se['eta']!r}")
+        print(f"modes      : {report.mu_hat!r} +- {se['mu']!r}")
+        print(f"noise red. : {report.R_hat!r} +- {se['R']!r}")
         print(f"fidelity   : {report.fidelity!r}")
         for note in report.diagnostics:
             print(f"note       : {note}")

@@ -372,7 +372,8 @@ def _selection(
     if rule.kind == "above":
         refuse = f"{rule.describe()} needs over {_MAX_CELLS_DEFAULT} trigger values, the budget"
         cap = thr + 1 + _MAX_CELLS_DEFAULT
-        head, hi, tail = _law_tail(mu, m / (m + mu), 0.1 * tol, cap, refuse, size=thr + 2)
+        head, hi, tail = _law_tail(mu, m / (m + mu), 0.1 * tol, cap, refuse, size=thr + 2,
+                                   start=-mu * math.log1p(m / mu))
         values, p2 = np.arange(thr + 1, hi + 1), np.exp(head[thr + 1:])
         mass = _mass_sum(p2) + tail
         success = 1.0 if thr < 0 else mass

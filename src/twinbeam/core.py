@@ -345,9 +345,9 @@ def joint_table(params: ExperimentParams, tol: float = 1e-12) -> JointDistributi
     """
     params.require_lossy()
     tol = _validate_tol(tol)
-    side, m = math.isqrt(_MAX_CELLS_DEFAULT), params.mean_counts
+    mu, m, side = params.mu, params.mean_counts, math.isqrt(_MAX_CELLS_DEFAULT)
     refuse = f"table needs over {side}**2 cells for tol={tol}, the budget of {_MAX_CELLS_DEFAULT}"
-    head, k, _ = _law_tail(params.mu, m / (m + params.mu), tol / 4.0, side, refuse)
+    head = _law_tail(mu, m / (m + mu), tol / 4, side, refuse, start=-mu * math.log1p(m / mu))[0]
     return _assembled(JointDistribution, _joint_square(params, np.exp(head)), params=params, tol=tol)
 
 
@@ -407,15 +407,27 @@ def _cumsum_into(out: np.ndarray, steps: np.ndarray, start: float, carry=None):
 _LOG_PIN = 60.0 * math.log(2.0)  # the rest is pinned to 2**-60 of the cut
 
 
-def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", size: int = 1):
+def _step_shift(a: float, x: float, start: float) -> float:
+    """log(q/x) for NB(a, q) with exact log p(0) = ``start`` and q rounded to x.
+    Added to each log-ratio step from x, it keeps the running sum on the law
+    that ``start`` begins (a start alone gives 1e-11 too much mass at
+    M/mu = 1e5).  0 where a*log1p(-x) is ``start``, and at x = 1."""
+    if not 0.0 < x < 1.0:
+        return 0.0
+    return math.log1p(-math.expm1((start - a * math.log1p(-x)) / a) * (1.0 - x) / x)
+
+
+def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", size: int = 1,
+              start: float | None = None):
     """Head and upper tail of p(k) = (1-x)**a prod_{j<k} (j+a) x/(j+1): NB(a, x)
     for a >= 1 (x = 0: the point mass at 0), Bin(n, eta) for a = -n and
-    x = -eta/(1-eta).  The cut is tol * P(X >= size - 1).
+    x = -eta/(1-eta).  The cut is tol * P(X >= size - 1).  An NB caller
+    passes the exact log p(0) as ``start`` where x is a rounded ratio.
 
     The head, the log pmf as one exact running sum (bit for bit a prefix of
-    ``_log_nb_running``), is extended in place until the rest R beyond its
-    last term N is below the cut: the term ratios fall toward
-    x0 = max(x, 0), so with rho = p(N+1)/p(N),
+    ``_log_nb_running``, or of ``_log_nb_arr`` from ``start``), is extended
+    in place until the rest R beyond its last term N is below the cut: the
+    term ratios fall toward x0 = max(x, 0), so with rho = p(N+1)/p(N),
     p(N) rho/(1-x0) <= R <= p(N) rho/(1-rho).  R is then summed on as ratio
     products until these bounds, taken further out, differ by 2**-60 of the
     cut, and their mean is added.  P(X > j) is summed in reverse from N,
@@ -451,11 +463,13 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
             raise TableSizeError(refuse)
         n = cap
     buf = np.empty(min(n + n // 4 + 64, end))
-    buf[0], filled, carry = a * math.log1p(-x), 1, None
+    buf[0], filled, carry = a * math.log1p(-x) if start is None else start, 1, None
+    shift = _step_shift(a, x, buf[0])
     while True:
         if n > buf.size:
             buf = np.concatenate((buf[:filled], np.empty(n + n // 4 - filled)))
-        carry = _cumsum_into(buf[filled:n], _log_ratios(a, x, filled - 1, n - 1), buf[0], carry)
+        steps = _log_ratios(a, x, filled - 1, n - 1) + shift
+        carry = _cumsum_into(buf[filled:n], steps, buf[0], carry)
         filled, head = n, buf[:n]
         rho, miss = (n - 1 + a) * x / n, 0.0
         if n >= end:  # the binomial's last term: rho = 0
@@ -508,8 +522,9 @@ def _log_nb_arr(mu: float, m: float, t) -> np.ndarray:
             + t * (math.log(m) - math.log(mu))
             - (t + mu) * math.log1p(m / mu)
         )
-    steps = _log_ratios(mu, m / (m + mu), 0, int(top))  # from mu*log(1 - q), q unrounded
-    return _exact_cumsum(steps, -mu * math.log1p(m / mu))[t.astype(np.intp)]
+    q, start = m / (m + mu), -mu * math.log1p(m / mu)  # start from the unrounded q
+    steps = _log_ratios(mu, q, 0, int(top)) + _step_shift(mu, q, start)
+    return _exact_cumsum(steps, start)[t.astype(np.intp)]
 
 
 def _marginal_probs(params: ExperimentParams, n: int) -> np.ndarray:
@@ -534,8 +549,9 @@ def marginal_dist(params: ExperimentParams, tol: float = 1e-12) -> PhotoCountDis
     Refuses a support of more than _MAX_CELLS_DEFAULT counts."""
     tol = _validate_tol(tol)
     refuse = f"marginal needs over {_MAX_CELLS_DEFAULT} counts, the budget"
-    m = params.mean_counts
-    head = _law_tail(params.mu, m / (m + params.mu), tol, _MAX_CELLS_DEFAULT, refuse)[0]
+    mu, m = params.mu, params.mean_counts
+    start = -mu * math.log1p(m / mu)
+    head = _law_tail(mu, m / (m + mu), tol, _MAX_CELLS_DEFAULT, refuse, start=start)[0]
     return _assembled(PhotoCountDistribution, np.exp(head), tol=tol)
 
 

@@ -108,3 +108,47 @@ def photon_conditional_oracle(
     joint = photon_idler_joint(mu, eta, mean_counts, cutoff)
     column = joint[:, t]
     return column / column.sum()
+
+
+def cell_tally(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (s, t) cells of a record in lexicographic order, as an
+    (k, 2) array, and the number of shots in each.
+
+    Each arm is dense-ranked on its own and the pair is keyed as
+    rank_s * (distinct t values) + rank_t, an integer below n**2, so one 1-D
+    sort replaces a sort of the (n, 2) rows: the same cells, order and
+    counts as ``np.unique(np.column_stack([s, t]), axis=0)``.
+    """
+    s_values, s_rank = np.unique(s, return_inverse=True)
+    t_values, t_rank = np.unique(t, return_inverse=True)
+    keys, counts = np.unique(s_rank * t_values.size + t_rank, return_counts=True)
+    cells = np.column_stack([s_values[keys // t_values.size], t_values[keys % t_values.size]])
+    return cells, counts
+
+
+def bootstrap_errors(s: np.ndarray, t: np.ndarray, n_bootstrap: int, seed: int) -> dict:
+    """Oracle: nonparametric bootstrap standard errors of the moment
+    estimates (M, R, eta, mu) over whole shots.  Each resample's statistics
+    are weighted sums over the distinct (s, t) cells, with
+    Multinomial(n, counts / n) weights (the law of drawing shot indices),
+    centred on the record means before squaring; mu resamples in the
+    unbounded regime (excess variance <= 0) are left out of its spread."""
+    n = s.size
+    cells, counts = cell_tally(s, t)
+    weights = np.random.default_rng(seed).multinomial(n, counts / n, size=n_bootstrap)
+    # per-cell deviations of s, t and s - t from the record means
+    dev = np.column_stack([cells, cells[:, 0] - cells[:, 1]])
+    record_mean = counts @ dev / n
+    dev -= record_mean
+    shift = weights @ dev / n  # resample mean minus record mean
+    var = (weights @ dev**2 - n * shift**2) / (n - 1)
+    m = 0.5 * (record_mean[0] + record_mean[1] + shift[:, 0] + shift[:, 1])
+    excess = 0.5 * (var[:, 0] + var[:, 1]) - m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = var[:, 2] / (2.0 * m)
+        mu = np.where(excess > 0.0, m**2 / excess, np.inf)
+    out = {}
+    for key, values in {"M": m, "R": r, "eta": 1.0 - r, "mu": mu}.items():
+        finite = values[np.isfinite(values)]
+        out[key] = float(np.std(finite, ddof=1)) if finite.size > 1 else math.inf
+    return out

@@ -115,7 +115,7 @@ def test_criterion_4_fidelity_reproduction(table_a, table_b):
 
 
 def test_criterion_5_noise_reduction(record_a):
-    with criterion(5, "noise reduction recovers 0.94 within 5 bootstrap errors"):
+    with criterion(5, "noise reduction recovers 0.94 within 5 standard errors"):
         report = estimate_params(record_a, n_bootstrap=200, bootstrap_seed=0,
                                  compute_fidelity=False)
         r_hat = noise_reduction(record_a)

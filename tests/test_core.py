@@ -436,3 +436,14 @@ def test_log_marginal_keeps_its_digits_at_large_mean(mean):
     # rounded q put it 3.9e-9 (M = 1e8) to 8.0e-4 (M = 1e14) off in marginal
     exact = -3.0 * math.log1p(1.0 / mean) - math.log1p(mean)
     assert log_marginal(ExperimentParams(1.0, 0.5, mean), 3) == pytest.approx(exact, rel=1e-15)
+
+
+def test_marginal_dist_keeps_its_digits_at_large_mean():
+    # log(q**t (1 - q)) at mu = 1.  Started at mu*log1p(-q) of the rounded q,
+    # the head was 4.7e-13 relative off at small t; started exactly but with
+    # steps from the rounded q, it would be 4.4e-13 off at the mean t = M
+    mean = 1e5
+    probs = marginal_dist(ExperimentParams(1.0, 0.5, mean), tol=1e-6).probs
+    for t in (0, 3, 100, 100_000):
+        exact = -t * math.log1p(1.0 / mean) - math.log1p(mean)
+        assert math.log(probs[t]) == pytest.approx(exact, rel=1e-15), t

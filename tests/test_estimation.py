@@ -20,6 +20,8 @@ from twinbeam import (
 from twinbeam import estimation
 from twinbeam.core import _log_nb_arr
 
+from conftest import bootstrap_errors, cell_tally
+
 
 # --- noise reduction -----------------------------------------------------------
 
@@ -81,10 +83,13 @@ def test_ml_refinement_stays_close():
 def test_poisson_record_hits_unbounded_mu_diagnostic():
     rng = np.random.default_rng(5)
     shots = np.column_stack([rng.poisson(5.0, 2000), rng.poisson(5.0, 2000)])
-    est = estimate_params(ShotRecord(shots=shots), n_bootstrap=20,
-                          compute_fidelity=False)
+    est = estimate_params(ShotRecord(shots=shots), compute_fidelity=False)
     assert math.isinf(est.mu_hat)
     assert any("unbounded" in d for d in est.diagnostics)
+    # sub-multithermal: no mu error, finite errors for the rest
+    assert math.isinf(est.standard_errors["mu"])
+    for key in ("M", "R", "eta"):
+        assert 0.0 < est.standard_errors[key] < math.inf, key
 
 
 def test_bootstrap_spread_shrinks_with_shots(params_b):
@@ -100,11 +105,28 @@ def test_bootstrap_spread_shrinks_with_shots(params_b):
 
 
 def test_bootstrap_is_deterministic(record_b):
-    a = estimate_params(record_b, n_bootstrap=50, bootstrap_seed=9,
-                        compute_fidelity=False)
-    b = estimate_params(record_b, n_bootstrap=50, bootstrap_seed=9,
-                        compute_fidelity=False)
-    assert a.standard_errors == b.standard_errors
+    # the bootstrap arguments are kept for compatibility and ignored: the
+    # delta-method errors draw no resamples
+    errors = estimate_params(record_b, compute_fidelity=False).standard_errors
+    assert list(errors) == ["M", "R", "eta", "mu"]
+    for n_bootstrap, seed in ((0, 0), (1, 5), (50, 9), (5_000, 123), (-3, -1)):
+        report = estimate_params(record_b, n_bootstrap=n_bootstrap, bootstrap_seed=seed,
+                                 compute_fidelity=False)
+        assert report.standard_errors == errors
+
+
+@pytest.mark.parametrize("params,shots", [
+    (ExperimentParams(25.0, 0.056, 17.1), 10_000),
+    (ExperimentParams(25.0, 0.056, 17.1), 100_000),
+    (ExperimentParams(197.0, 0.06, 13.4), 30_000),
+    (ExperimentParams(2.0, 0.5, 3.0), 10_000),
+])
+def test_errors_match_a_5000_resample_bootstrap(params, shots):
+    record = sample_run(params, shots, seed=1)
+    errors = estimate_params(record, compute_fidelity=False).standard_errors
+    oracle = bootstrap_errors(record.s.astype(float), record.t.astype(float), 5_000, seed=0)
+    for key, se in oracle.items():
+        assert errors[key] == pytest.approx(se, rel=0.05), key
 
 
 def _shot_bootstrap_errors(record: ShotRecord, n_bootstrap: int, seed: int) -> dict:
@@ -129,11 +151,12 @@ def _shot_bootstrap_errors(record: ShotRecord, n_bootstrap: int, seed: int) -> d
 
 
 def test_cell_bootstrap_matches_shot_resampling(params_b):
+    # the oracle's multinomial cell weights against drawn shot indices
     rec = sample_run(params_b, 5_000, seed=3)
-    est = estimate_params(rec, n_bootstrap=2_000, bootstrap_seed=1, compute_fidelity=False)
+    cells = bootstrap_errors(rec.s.astype(float), rec.t.astype(float), 2_000, seed=1)
     oracle = _shot_bootstrap_errors(rec, 2_000, seed=2)
     for key, se in oracle.items():
-        assert abs(est.standard_errors[key] - se) <= 0.1 * se, key
+        assert abs(cells[key] - se) <= 0.1 * se, key
 
 
 def test_bootstrap_memory_stays_small(params_b):
@@ -168,7 +191,7 @@ _count = st.one_of(st.integers(0, 6), st.integers(0, 10**9), st.integers(_BIG - 
 def test_cell_tally_matches_row_sort(shots):
     record = ShotRecord(shots=np.array(shots, dtype=np.int64))
     s, t = record.s.astype(float), record.t.astype(float)
-    cells, counts = estimation._cell_tally(s, t)
+    cells, counts = cell_tally(s, t)
     ref_cells, ref_counts = _row_sort_tally(s, t)
     assert np.array_equal(cells, ref_cells)
     assert np.array_equal(counts, ref_counts)
@@ -177,23 +200,8 @@ def test_cell_tally_matches_row_sort(shots):
 def test_bootstrap_runs_on_counts_near_2_62():
     rng = np.random.default_rng(8)
     shots = _BIG + rng.integers(0, 10**13, size=(500, 2))
-    report = estimate_params(ShotRecord(shots=shots), n_bootstrap=20, compute_fidelity=False)
-    assert all(se >= 0.0 for se in report.standard_errors.values())
-    assert math.isfinite(report.standard_errors["M"])
-
-
-@pytest.mark.parametrize("params,shots", [
-    (ExperimentParams(25.0, 0.056, 17.1), 10_000),
-    (ExperimentParams(197.0, 0.06, 13.4), 30_000),
-    (ExperimentParams(1.0, 0.3, 2.0), 10_000),
-    (ExperimentParams(2.0, 0.3, 2.0), 10_000),
-    (ExperimentParams(3.0, 0.3, 2.0), 10_000),
-])
-def test_cell_tally_keeps_every_report_field(params, shots, monkeypatch):
-    record = sample_run(params, shots, seed=1)
-    report = estimate_params(record, bootstrap_seed=3)
-    monkeypatch.setattr(estimation, "_cell_tally", _row_sort_tally)
-    assert report == estimate_params(record, bootstrap_seed=3)
+    report = estimate_params(ShotRecord(shots=shots), compute_fidelity=False)
+    assert all(0.0 < se < math.inf for se in report.standard_errors.values())
 
 
 # --- maximum-likelihood refinement -----------------------------------------------
