@@ -3,12 +3,19 @@
 In the model each of the mu modes carries a geometric photon number of
 ratio lambda_sq, shared by both arms, and each arm is thinned by binomial
 detection at efficiency eta.  A sum of mu such geometrics is exactly the
-photon total N ~ NegBin(mu, 1 - lambda_sq), and binomial thinning adds over
-modes, so given N the two arms' counts are independent Bin(N, eta) draws.
-Each pulse therefore draws N and thins it once per arm: the model's law at
-O(1) cost per pulse, vacuum (NegBin(mu, 1) = 0) and lossless (Bin(N, 1) = N)
-limits included.  Large sampled histograms are an end-to-end stochastic
-oracle for every closed formula in the package.
+photon total N ~ NegBin(mu, 1 - lambda_sq), which is a Poisson total of
+gamma-distributed rate L = Gamma(mu) * mean_photons / mu.  Given L, binomial
+detection on two arms splits the Poisson(L) photons into three independent
+Poisson counts: photons seen by both arms (rate L eta^2) and photons seen by
+one arm only (rate L eta (1 - eta) each).  So a pulse is
+
+    both ~ Poisson(L eta^2),  s = both + Poisson(L eta (1 - eta)),
+                              t = both + Poisson(L eta (1 - eta)),
+
+the model's law at O(1) cost per pulse with no per-shot binomial set-up,
+vacuum (L = 0) and lossless (eta (1 - eta) = 0, so s = t) limits included.
+Large sampled histograms are an end-to-end stochastic oracle for every
+closed formula in the package.
 
 Reproducibility contract: a run is a pure function of (params, n_shots,
 seed), independent of how many workers execute it.  Shots are partitioned
@@ -19,6 +26,7 @@ records.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -78,18 +86,34 @@ def _validate_sampling(params: ExperimentParams) -> None:
         raise ParameterError(
             f"sampling requires an integer number of physical modes, got mu={params.mu}"
         )
-    if params.lambda_sq >= 1.0:  # N/mu beyond 2**53: no photon law to draw from
-        raise ParameterError(f"mean photons {params.mean_photons} too large to sample")
+    # A Gamma(mu) draw exceeds mu + 40 sqrt(mu) + 700 with probability below
+    # e**-740 for every mu >= 1; below this bound each Poisson rate stays
+    # inside numpy's limit (about 9.22e18) and each shot's counts inside int64.
+    mu = params.mu
+    if params.mean_counts / mu * (mu + 40.0 * math.sqrt(mu) + 700.0) > 2.0**62:
+        raise ParameterError(f"mean counts {params.mean_counts} too large to sample")
 
 
 def _draw_block(params: ExperimentParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n shots from one stream; fixed draw order (photon totals, arm 1, arm 2)."""
-    photons = rng.negative_binomial(params.mu, 1.0 - params.lambda_sq, size=n)
-    return np.column_stack([rng.binomial(photons, params.eta) for _arm in range(2)])
+    """n shots from one stream, as one gamma rate and three Poisson counts.
+
+    Per shot, x = Gamma(mu) * mean_counts / mu is the rate eta * L of one
+    arm's detected photons; both = Poisson(eta x) counts the photons detected
+    on both arms, and each arm adds its own Poisson((1 - eta) x).  Fixed draw
+    order: rates, shared counts, arm-1 counts, arm-2 counts.
+    """
+    x = rng.standard_gamma(params.mu, size=n)
+    x *= params.mean_counts / params.mu
+    both = rng.poisson(params.eta * x)
+    one_arm = (1.0 - params.eta) * x
+    shots = np.empty((n, 2), dtype=np.int64)
+    np.add(both, rng.poisson(one_arm), out=shots[:, 0])
+    np.add(both, rng.poisson(one_arm), out=shots[:, 1])
+    return shots
 
 
 def sample_shot(params: ExperimentParams, rng: np.random.Generator) -> tuple[int, int]:
-    """One pulse: a negative-binomial photon total, thinned once per arm."""
+    """One pulse: a gamma rate, then shared and per-arm Poisson counts."""
     _validate_sampling(params)
     pair = _draw_block(params, 1, rng)[0]
     return int(pair[0]), int(pair[1])
@@ -154,8 +178,7 @@ def histogram(record: ShotRecord) -> JointDistribution:
             f"histogram needs {shape[0]} x {shape[1]} cells, "
             f"exceeding the budget of {_MAX_CELLS_DEFAULT}"
         )
-    counts = np.zeros(shape)
-    np.add.at(counts, (s, t), 1.0)
+    counts = np.bincount(s * shape[1] + t, minlength=shape[0] * shape[1]).reshape(shape)
     n = len(record)
     try:
         params = ExperimentParams.from_dict(record.meta["params"])
@@ -167,5 +190,5 @@ def histogram(record: ShotRecord) -> JointDistribution:
         params=params,
         tol=0.0,
         symmetric=False,
-        meta={"n_shots": n, "counts": counts.astype(np.int64)},
+        meta={"n_shots": n, "counts": counts},
     )

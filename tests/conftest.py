@@ -58,6 +58,19 @@ def record_b():
     return sample_run(PARAMS_B, 50_000, seed=0)
 
 
+# The 10% closure checks on eta_hat need long records: at 50k shots the
+# standard error of eta_hat is about 11% of eta at A and at B, so 10% is
+# under one standard error; at 2e6 shots it is about 5.8.
+@pytest.fixture(scope="module")
+def closure_record_a():
+    return sample_run(PARAMS_A, 2_000_000, seed=0)
+
+
+@pytest.fixture(scope="module")
+def closure_record_b():
+    return sample_run(PARAMS_B, 2_000_000, seed=0)
+
+
 def per_mode_draw(params: ExperimentParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Oracle: n shots straight from the model definition.  Each of the mu
     modes draws a geometric photon number (inverse transform, shared by both

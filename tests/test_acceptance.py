@@ -164,9 +164,10 @@ def test_criterion_7_near_zero_efficiency_baseline():
                 assert abs(rep.delta_R) <= 1e-3, f"mu={mu}, t={t}: {rep.delta_R}"
 
 
-def test_criterion_8_estimator_closure(record_a, record_b, table_a, table_b):
-    with criterion(8, "sample -> estimate -> retable closes within 10% / 0.99"):
-        for params, record, table in zip(BOTH, (record_a, record_b), (table_a, table_b)):
+def test_criterion_8_estimator_closure(closure_record_a, closure_record_b, table_a, table_b):
+    with criterion(8, "2e6-shot sample -> estimate -> retable closes within 10% / 0.99"):
+        records = (closure_record_a, closure_record_b)
+        for params, record, table in zip(BOTH, records, (table_a, table_b)):
             est = estimate_params(record, n_bootstrap=0, compute_fidelity=False)
             assert abs(est.M_hat - params.mean_counts) / params.mean_counts < 0.10
             assert abs(est.eta_hat - params.eta) / params.eta < 0.10

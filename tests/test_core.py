@@ -404,9 +404,10 @@ def test_joint_prob_is_a_probability(params, s, t):
 # --- mean counts far beyond mu ------------------------------------------------
 
 # q = M/(M + mu) rounds to 1 once M/mu passes about 2**53: the marginal's
-# support is then endless, and the sampler's photon law has no success
-# probability.  Such calls raised ZeroDivisionError, a math domain error or
-# numpy's ValueError; each must return or raise a TwinbeamError.
+# support is then endless, and at both means the sampler's Poisson rates
+# could pass numpy's limit.  Such calls raised ZeroDivisionError, a math
+# domain error or numpy's ValueError; each must return or raise a
+# TwinbeamError.
 _HUGE_MEAN_CALLS = {
     "joint_table": lambda p: joint_table(p),
     "joint_prob": lambda p: joint_prob(p, 3, 3),

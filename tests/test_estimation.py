@@ -56,8 +56,8 @@ def test_noise_reduction_degenerate_records():
 # --- parameter recovery -----------------------------------------------------------
 
 
-def test_recovery_within_ten_percent(record_a, record_b, params_a, params_b):
-    for rec, truth in ((record_a, params_a), (record_b, params_b)):
+def test_recovery_within_ten_percent(closure_record_a, closure_record_b, params_a, params_b):
+    for rec, truth in ((closure_record_a, params_a), (closure_record_b, params_b)):
         est = estimate_params(rec, n_bootstrap=0, compute_fidelity=False)
         assert abs(est.M_hat - truth.mean_counts) / truth.mean_counts < 0.10
         assert abs(est.eta_hat - truth.eta) / truth.eta < 0.10
@@ -118,7 +118,9 @@ def test_bootstrap_is_deterministic(record_b):
 @pytest.mark.parametrize("params,shots", [
     (ExperimentParams(25.0, 0.056, 17.1), 10_000),
     (ExperimentParams(25.0, 0.056, 17.1), 100_000),
-    (ExperimentParams(197.0, 0.06, 13.4), 30_000),
+    # at A the skewed mu = M**2/E needs 3e5 shots before its bootstrap
+    # spread settles near the delta-method error
+    (ExperimentParams(197.0, 0.06, 13.4), 300_000),
     (ExperimentParams(2.0, 0.5, 3.0), 10_000),
 ])
 def test_errors_match_a_5000_resample_bootstrap(params, shots):

@@ -74,6 +74,18 @@ def test_validation():
         sample_run(good, 10, seed=0, workers=0)
 
 
+def test_refuses_rates_beyond_the_poisson_limit():
+    # (M/mu)(mu + 40 sqrt(mu) + 700) is 5.2e18 > 2**62 here, 4.16e18 below it
+    with pytest.raises(ParameterError, match="too large to sample"):
+        sample_run(ExperimentParams(1e6, 0.5, 5e18), 10, seed=1)
+    rec = sample_run(ExperimentParams(1e6, 0.5, 4e18), 10, seed=1)
+    assert np.all(np.abs(rec.shots / 4e18 - 1.0) < 0.01)
+    # the draw never forms lambda_sq, so a ratio that rounds to 1 is no limit
+    params = ExperimentParams(1.0, 1e-6, 1e12)
+    assert params.lambda_sq == 1.0
+    assert sample_run(params, 1000, seed=1).s.mean() == pytest.approx(1e12, rel=0.2)
+
+
 def test_sample_mean_within_three_sigma(record_a, params_a):
     m = params_a.mean_counts
     sigma = math.sqrt(m * (1.0 + m / params_a.mu) / len(record_a))
@@ -152,6 +164,29 @@ def test_sampler_matches_per_mode_oracle(mu, eta, m):
         table = joint_table(params, tol=1e-10)
         assert fidelity(sampled, table) >= 0.999
         assert fidelity(oracle, table) >= 0.999
+
+
+# Pearson chi-square of 2e6 shots against the closed-form law: cells whose
+# expected count is at least 5 stand alone, the rest (and all mass outside
+# the table) are pooled into one cell; z = (chi2 - dof)/sqrt(2 dof).
+@pytest.mark.parametrize("mu, eta, m", [
+    (197.0, 0.06, 13.4), (25.0, 0.056, 17.1), (1.0, 0.5, 0.5), (3.0, 0.45, 2.9),
+])
+def test_sampler_passes_chi_square_against_joint_table(mu, eta, m):
+    n = 2_000_000
+    params = ExperimentParams(mu, eta, m)
+    expected = n * joint_table(params, tol=1e-12).probs
+    counts = histogram(sample_run(params, n, seed=0)).meta["counts"]
+    observed = np.zeros(expected.shape)
+    rows, cols = min(counts.shape[0], expected.shape[0]), min(counts.shape[1], expected.shape[1])
+    observed[:rows, :cols] = counts[:rows, :cols]
+    kept = expected >= 5.0
+    obs = np.append(observed[kept], n - observed[kept].sum())
+    exp = np.append(expected[kept], n - expected[kept].sum())
+    chi2 = float(np.sum((obs - exp) ** 2 / exp))
+    dof = obs.size - 1
+    z = (chi2 - dof) / math.sqrt(2.0 * dof)
+    assert abs(z) <= 5.0, (chi2, dof, z)
 
 
 def test_million_shot_fidelity(big_run_b, table_b):

@@ -121,7 +121,8 @@ def test_output_dir_env(tmp_path, monkeypatch):
 
 
 # SHA-256 of the stdout of each subcommand; the codec must keep every byte.
-# The sample pins hold the records of the negative-binomial sampler.  The
+# The sample pins hold the records of the gamma-Poisson split sampler (one
+# gamma rate, then shared, arm-1 and arm-2 Poisson counts per shot).  The
 # joint, conditional, marginal and sweep pins (and fig2a below) hold the
 # recurrence kernel and the running-sum marginal.  Against the log-gamma
 # series they moved by at most 4e-16 in probability (8e-13 in fig2a, where
@@ -152,8 +153,8 @@ _GOLDEN_SHA256 = {
     ("marginal", "json"): "a9ad29ede1d0dd36c6431fbf65d84f1507fd25533ca69155553913a037e40125",
     ("conditional", "csv"): "fb39fab95d078cbba82f735c357a7b43171d574b56c99f9991e4a28b0b13cb20",
     ("conditional", "json"): "6543d776f0de483a86db153f0f7eaa570ec56b98316a099fb18a960ce2246b35",
-    ("sample", "csv"): "52f47ae859188e226dba3919675f94fe290a8ae212ea47b733512a68e2ab138a",
-    ("sample", "json"): "1bebc9387457458753836ac6cc013ab8d5ca8ed6f5303ea3ad3833c1241d1287",
+    ("sample", "csv"): "5792b46ae258dfaa29f52bbdf9c4ac7fb13c330f23ee3c02847ca4d6e744f087",
+    ("sample", "json"): "4a004e0b13b68bc9feb8b02b9591ea1b66c701f6fcf547cd692a1f2d0a57a76a",
     ("sweep", "csv"): "0661fb74961372e8bfec5afc8a93c0df658326f010c33bdcb79a3483190ddffc",
     ("sweep", "json"): "e3b341d4798133f55b7d0c46d21c392734de663aabd188ba4d9f404f3cd5d3c4",
 }
