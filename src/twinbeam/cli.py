@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = sub.add_parser("reproduce", help="emit all plot data for one figure")
-    p.add_argument("figure", choices=FIGURE_IDS)
+    p = sub.add_parser("reproduce", help="emit all plot data for each named figure")
+    p.add_argument("figure", nargs="+", choices=FIGURE_IDS)
     p.add_argument("--outdir", default=".")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
@@ -219,8 +219,9 @@ def _run(args) -> int:
         print(repr(fidelity(a, b)))
 
     elif args.command == "reproduce":
-        manifest = reproduce(args.figure, args.outdir, seed=args.seed, tol=args.tol)
-        print(json.dumps({"figure": args.figure, "files": [f["path"] for f in manifest["files"]]}))
+        for figure in args.figure:  # one JSON line per figure, printed as it is written
+            manifest = reproduce(figure, args.outdir, seed=args.seed, tol=args.tol)
+            print(json.dumps({"figure": figure, "files": [f["path"] for f in manifest["files"]]}))
 
     return 0
 

@@ -10,10 +10,11 @@ marginal is the multithermal (negative-binomial) law
 
     p2(t) = C(t+mu-1, t) * q**t * (1 - q)**mu,   q = M/(M + mu),
 
-a running sum of the O(1) log-ratios log((j+mu) q/(j+1)).  ``_law_tail``
-extends such a sum, for NB(a, x) and Bin(n, eta), until geometric bounds
-pin the rest, and gives every support, cut and omitted mass; the
-incomplete beta functions of A&S 26.5.24/26.5.26 are never evaluated.
+a running sum of the O(1) log-ratios log((j+mu) q/(j+1)).  One function,
+``_log_nb_running``, forms that sum for NB(a, x) and Bin(n, eta);
+``_law_tail`` takes it long enough that geometric bounds pin the rest, and
+gives every support, cut and omitted mass; the incomplete beta functions of
+A&S 26.5.24/26.5.26 are never evaluated.
 ``joint_table`` needs no series: the identity (1 - r(a + bu)(a + bv)) dG/du =
 mu r b (a + bv) G gives, with m = M/mu and D = 1 + m(2-eta), for the
 conditional law R(s, t) = p(s, t)/p2(s) = P(t | s)
@@ -103,6 +104,26 @@ def _assembled(cls, values: np.ndarray, **fields):
     return cls(probs=values, tail_bound=1.0 - total, _mass=total, **fields)
 
 
+def _checked(dist, probs, ndim: int, mass: Optional[float]) -> tuple[np.ndarray, float]:
+    """Freeze ``probs`` into ``dist`` after the checks of both distribution
+    types: a non-empty ``ndim``-D array of finite non-negative cells,
+    tail_bound >= 0 and mass + tail_bound within 10*tol (plus float slack)
+    of 1.  Returns the frozen probs and their mass."""
+    probs = _freeze(probs)
+    if probs.ndim != ndim or probs.size == 0:
+        raise ParameterError(f"probs must be a non-empty {ndim}-D array")
+    if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+        raise ParameterError("probabilities must be finite and >= 0")
+    if dist.tail_bound < 0.0:
+        raise ParameterError("tail_bound must be >= 0")
+    mass = _mass_sum(probs) if mass is None else mass
+    slack = 10.0 * dist.tol + _FLOAT_SLACK
+    if not (1.0 - slack <= mass + dist.tail_bound <= 1.0 + slack):
+        raise ParameterError(f"mass + tail_bound = {mass + dist.tail_bound} outside [1-{slack}, 1]")
+    object.__setattr__(dist, "probs", probs)
+    return probs, mass
+
+
 @dataclass(frozen=True)
 class PhotoCountDistribution:
     """Truncated distribution over counts 0..len(probs)-1 on one beam.
@@ -120,18 +141,7 @@ class PhotoCountDistribution:
     _mass: InitVar[Optional[float]] = None
 
     def __post_init__(self, _mass: Optional[float]) -> None:
-        probs = _freeze(np.atleast_1d(self.probs))
-        if probs.ndim != 1 or probs.size == 0:
-            raise ParameterError("probs must be a non-empty 1-D array")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ParameterError("probabilities must be finite and >= 0")
-        if self.tail_bound < 0.0:
-            raise ParameterError("tail_bound must be >= 0")
-        total = (_mass_sum(probs) if _mass is None else _mass) + self.tail_bound
-        slack = 10.0 * self.tol + _FLOAT_SLACK
-        if not (1.0 - slack <= total <= 1.0 + slack):
-            raise ParameterError(f"mass + tail_bound = {total} outside [1-{slack}, 1]")
-        object.__setattr__(self, "probs", probs)
+        probs = _checked(self, np.atleast_1d(self.probs), 1, _mass)[0]
         object.__setattr__(self, "mean", float(np.arange(probs.size) @ probs))
 
     def __len__(self) -> int:
@@ -162,24 +172,11 @@ class JointDistribution:
     _mass: InitVar[Optional[float]] = None
 
     def __post_init__(self, _mass: Optional[float]) -> None:
-        probs = _freeze(np.atleast_2d(self.probs))
-        if probs.ndim != 2 or probs.size == 0:
-            raise ParameterError("probs must be a non-empty 2-D array")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ParameterError("probabilities must be finite and >= 0")
-        if self.tail_bound < 0.0:
-            raise ParameterError("tail_bound must be >= 0")
+        probs, mass = _checked(self, np.atleast_2d(self.probs), 2, _mass)
         if self.symmetric and (
             probs.shape[0] != probs.shape[1] or not np.array_equal(probs, probs.T)
         ):
             raise ParameterError("model joint table must be exactly symmetric")
-        mass = _mass_sum(probs) if _mass is None else _mass
-        slack = 10.0 * self.tol + _FLOAT_SLACK
-        if not (1.0 - slack <= mass + self.tail_bound <= 1.0 + slack):
-            raise ParameterError(
-                f"mass + tail_bound = {mass + self.tail_bound} outside [1-{slack}, 1]"
-            )
-        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "total_mass", mass)
 
     @property
@@ -361,47 +358,41 @@ def _log_ratios(a: float, x: float, lo: int, hi: int) -> np.ndarray:
     return np.log((np.arange(lo, hi) + a) * x / np.arange(lo + 1.0, hi + 1.0))
 
 
-def _log_nb_running(mu: float, ratio: float, n: int) -> np.ndarray:
-    """Log pmf of NB(mu, ratio) at k = 0..n-1; NB(mu, 0) is the point mass at 0.
+def _log_nb_running(a: float, x: float, n: int, start: float | None = None) -> np.ndarray:
+    """Log pmf at k = 0..n-1 of p(k) = p(0) prod_{j<k} (j+a) x/(j+1): NB(a, x)
+    for a >= 1 (x = 0: the point mass at 0), Bin(n, eta) for a = -n and
+    x = -eta/(1-eta).  An NB caller passes the exact log p(0) as ``start``
+    where x is a rounded ratio; the default is a*log(1 - x).
 
-    mu*log(1 - ratio) plus an exact running sum of the O(1) log-ratios
-    log((j + mu) * ratio / (j + 1)).  Unlike log-gamma differences at large
-    mu, this loses no digits to cancellation.
+    The one running sum of the O(1) log-ratios in the package.  Unlike
+    log-gamma differences at large a, it loses no digits to cancellation.
     """
-    if ratio == 0.0:
+    if x == 0.0:
         return np.where(np.arange(n) == 0, 0.0, -np.inf)
-    return _exact_cumsum(_log_ratios(mu, ratio, 0, n - 1), mu * math.log1p(-ratio))
+    start = a * math.log1p(-x) if start is None else start
+    return _exact_cumsum(_log_ratios(a, x, 0, n - 1) + _step_shift(a, x, start), start)
 
 
 def _exact_cumsum(steps: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """``start`` followed by ``start`` plus the running sums of ``steps``."""
-    out = np.empty(steps.size + 1)
-    out[0] = start
-    _cumsum_into(out[1:], steps, start)
-    return out
-
-
-def _cumsum_into(out: np.ndarray, steps: np.ndarray, start: float, carry=None):
-    """Write ``start`` plus the running sums of ``steps`` into ``out``,
-    continuing the sums of an earlier call from its returned ``carry``.
+    """``start`` followed by ``start`` plus the running sums of ``steps``.
 
     Rounding does not accumulate along the sum: each step splits into a
     multiple of 2**-32, whose sums are exact below 2**53 units, and a
-    remainder under 2**-33 summed in order, so a sum continued from a carry
-    equals the sum in one call bit for bit.  The sums are taken in place
-    (3e7 steps near the level budget of a state).
+    remainder under 2**-33 summed in order, so a longer sum begins with
+    a shorter one bit for bit.  The sums are taken in place (3e7 steps near
+    the level budget of a state).
     """
+    out = np.empty(steps.size + 1)
+    out[0] = start
     coarse = steps * 2.0**32
     np.rint(coarse, out=coarse)
     fine = coarse * -(2.0**-32)
     fine += steps
-    if carry is not None:
-        coarse[0] += carry[0]
-        fine[0] += carry[1]
-    np.multiply(coarse.cumsum(out=coarse), 2.0**-32, out=out)
-    out += fine.cumsum(out=fine)
-    out += start
-    return (coarse[-1], fine[-1]) if steps.size else carry
+    body = out[1:]
+    np.multiply(coarse.cumsum(out=coarse), 2.0**-32, out=body)
+    body += fine.cumsum(out=fine)
+    body += start
+    return out
 
 
 _LOG_PIN = 60.0 * math.log(2.0)  # the rest is pinned to 2**-60 of the cut
@@ -419,14 +410,11 @@ def _step_shift(a: float, x: float, start: float) -> float:
 
 def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", size: int = 1,
               start: float | None = None):
-    """Head and upper tail of p(k) = (1-x)**a prod_{j<k} (j+a) x/(j+1): NB(a, x)
-    for a >= 1 (x = 0: the point mass at 0), Bin(n, eta) for a = -n and
-    x = -eta/(1-eta).  The cut is tol * P(X >= size - 1).  An NB caller
-    passes the exact log p(0) as ``start`` where x is a rounded ratio.
+    """Head and upper tail of the law of ``_log_nb_running`` with the same
+    a, x and ``start``.  The cut is tol * P(X >= size - 1).
 
-    The head, the log pmf as one exact running sum (bit for bit a prefix of
-    ``_log_nb_running``, or of ``_log_nb_arr`` from ``start``), is extended
-    in place until the rest R beyond its last term N is below the cut: the
+    The head, the log pmf from ``_log_nb_running``, is recomputed at the new
+    length until the rest R beyond its last term N is below the cut: the
     term ratios fall toward x0 = max(x, 0), so with rho = p(N+1)/p(N),
     p(N) rho/(1-x0) <= R <= p(N) rho/(1-rho).  R is then summed on as ratio
     products until these bounds, taken further out, differ by 2**-60 of the
@@ -455,22 +443,15 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
     def guess(nats):  # where p falls below e**-nats: a gamma-like bulk, then its decay
         return int(mean + math.sqrt(2.0 * nats * mean / (1.0 - x)) + 2.0 / 3.0 * nats * decay) + 2
 
-    n = guess(_LOG_PIN - log_cut)  # with room to spare where a second fill costs more
+    n = guess(_LOG_PIN - log_cut)  # with room to spare where a refill costs more
     n = min(max(n + n // 16 + 16 if n < 4096 else guess(-log_cut), size + 1), end)
     if n > cap:
         rising = tol < 0.5 and (cap + a) * x >= cap + 1.0  # then P(X >= cap) >= 1/2
         if rising or log_pmf(cap) - math.log1p(-x0) > math.log(tol):
             raise TableSizeError(refuse)
         n = cap
-    buf = np.empty(min(n + n // 4 + 64, end))
-    buf[0], filled, carry = a * math.log1p(-x) if start is None else start, 1, None
-    shift = _step_shift(a, x, buf[0])
     while True:
-        if n > buf.size:
-            buf = np.concatenate((buf[:filled], np.empty(n + n // 4 - filled)))
-        steps = _log_ratios(a, x, filled - 1, n - 1) + shift
-        carry = _cumsum_into(buf[filled:n], steps, buf[0], carry)
-        filled, head = n, buf[:n]
+        head = _log_nb_running(a, x, n, start)
         rho, miss = (n - 1 + a) * x / n, 0.0
         if n >= end:  # the binomial's last term: rho = 0
             break
@@ -502,7 +483,7 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
         kept = int(tails.searchsorted(level, side="right"))
         if kept < tails.size or lo == size - 1:
             k = hi - 1 - kept
-            return buf[:k + 1], k, float(tails[kept - 1] if kept else acc) * math.exp(scale)
+            return head[:k + 1], k, float(tails[kept - 1] if kept else acc) * math.exp(scale)
         hi, acc, block = lo + 1, float(tails[-1]), 4 * block
 
 
@@ -522,9 +503,8 @@ def _log_nb_arr(mu: float, m: float, t) -> np.ndarray:
             + t * (math.log(m) - math.log(mu))
             - (t + mu) * math.log1p(m / mu)
         )
-    q, start = m / (m + mu), -mu * math.log1p(m / mu)  # start from the unrounded q
-    steps = _log_ratios(mu, q, 0, int(top)) + _step_shift(mu, q, start)
-    return _exact_cumsum(steps, start)[t.astype(np.intp)]
+    start = -mu * math.log1p(m / mu)  # from the unrounded q
+    return _log_nb_running(mu, m / (m + mu), int(top) + 1, start)[t.astype(np.intp)]
 
 
 def _marginal_probs(params: ExperimentParams, n: int) -> np.ndarray:

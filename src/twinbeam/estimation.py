@@ -18,8 +18,8 @@ smooth function of sample means, so its error follows from the per-shot
 influence functions in one pass over the record, which keeps the arm-arm
 correlation of a shot and draws no random numbers.  Agreement
 between a model table and an empirical histogram is the Bhattacharyya
-coefficient sum_{cells} sqrt(p*q) on the zero-padded union of their
-supports, with each table normalised by its total mass.
+coefficient sum_{cells} sqrt(p*q) over the overlap of their supports (no
+other cell adds to it), with each table normalised by its total mass.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import JointDistribution, PhotoCountDistribution, joint_table
+from .core import _MAX_CELLS_DEFAULT, JointDistribution, PhotoCountDistribution, joint_table
 from .errors import DegenerateRecordError, ParameterError, TableSizeError
 from .params import ExperimentParams
 from .sampling import ShotRecord, histogram
@@ -37,7 +37,6 @@ from .sampling import ShotRecord, histogram
 __all__ = ["EstimationReport", "noise_reduction", "estimate_params", "fidelity"]
 
 _MU_CAP = 1e6
-_MAX_LEVELS = 4_000_000  # count levels the refinement's score sums over
 _TABLE_TOL = 1e-8  # omitted mass of the model table the fidelity scores against
 
 
@@ -109,10 +108,10 @@ def _ml_refine(counts: np.ndarray, diagnostics: list[str]) -> tuple[float, float
     """
     n = counts.size
     top = int(counts.max())
-    if top > _MAX_LEVELS:
+    if top > _MAX_CELLS_DEFAULT:
         raise TableSizeError(
             f"maximum-likelihood refinement sums over {top} count levels, "
-            f"exceeding the budget of {_MAX_LEVELS}"
+            f"exceeding the budget of {_MAX_CELLS_DEFAULT}"
         )
     above = n - np.cumsum(np.bincount(counts, minlength=top + 1))[:top]  # S(j), j < top
     levels = np.arange(top, dtype=float)
@@ -240,8 +239,12 @@ def _model_fidelity(
     if not (math.isfinite(mu_hat) and mu_hat >= 1.0 and 0.0 < eta_hat < 1.0 and m_hat > 0.0):
         diagnostics.append("fidelity skipped: estimates leave the model domain")
         return None
-    model = joint_table(ExperimentParams(mu_hat, eta_hat, m_hat), tol=_TABLE_TOL)
-    return fidelity(histogram(record), model)
+    try:
+        model = joint_table(ExperimentParams(mu_hat, eta_hat, m_hat), tol=_TABLE_TOL)
+        return fidelity(histogram(record), model)
+    except TableSizeError as exc:
+        diagnostics.append(f"fidelity skipped: {exc}")
+        return None
 
 
 def _as_table(dist) -> np.ndarray:
@@ -260,21 +263,18 @@ def _as_table(dist) -> np.ndarray:
 def fidelity(p, q) -> float:
     """Bhattacharyya overlap of two probability tables.
 
-    Tables are zero-padded to their union support and normalised by their
-    total masses, so trailing truncation does not depress the score: the
-    result is symmetric, exactly 1 when the tables coincide cellwise on the
-    union, and 0 on disjoint (or empty) support.
+    sqrt(p*q) is summed over the leading overlap of the two supports, where
+    both tables have cells (no other cell adds to it), and normalised by
+    each table's own total mass, so trailing truncation does not depress
+    the score: the result is symmetric, exactly 1 when the tables coincide
+    cellwise, and 0 on disjoint (or empty) support.
     """
     a = _as_table(p)
     b = _as_table(q)
     if a.ndim != b.ndim:
         raise ParameterError("fidelity arguments must have matching dimensionality")
-    shape = tuple(max(x, y) for x, y in zip(a.shape, b.shape))
-    pa = np.zeros(shape)
-    pb = np.zeros(shape)
-    pa[tuple(slice(0, n) for n in a.shape)] = a
-    pb[tuple(slice(0, n) for n in b.shape)] = b
-    mass = float(pa.sum()) * float(pb.sum())
+    mass = float(a.sum()) * float(b.sum())
     if mass == 0.0:
         return 0.0
-    return min(1.0, float(np.sum(np.sqrt(pa * pb))) / math.sqrt(mass))
+    overlap = tuple(slice(0, min(x, y)) for x, y in zip(a.shape, b.shape))
+    return min(1.0, float(np.sum(np.sqrt(a[overlap] * b[overlap]))) / math.sqrt(mass))

@@ -228,6 +228,20 @@ def test_sample_estimate_round_trip(tmp_path):
     assert payload["fidelity"] > 0.98
 
 
+def test_estimate_reports_without_a_fidelity_beyond_the_table_budget(tmp_path, capsys):
+    import twinbeam.cli as cli
+
+    rec = tmp_path / "wide.csv"
+    assert cli.main(["sample", "--mu", "25", "--eta", "0.5", "--mean", "3000",
+                     "--shots", "2000", "--seed", "1", "--out", str(rec)]) == 0
+    capsys.readouterr()
+    assert cli.main(["estimate", "--input", str(rec)]) == 0
+    out = capsys.readouterr().out
+    assert "fidelity   : None" in out
+    assert "note       : fidelity skipped: table needs over" in out
+    assert "mean counts: " in out
+
+
 def test_estimate_reads_json_records(tmp_path):
     rec = tmp_path / "run.json"
     assert run_cli("sample", "--mu", "2", "--eta", "0.5", "--mean", "1",

@@ -285,6 +285,17 @@ def test_report_fidelity_scores_model_agreement(record_b, params_b, table_b):
     assert fidelity(recovered, table_b) >= 0.99
 
 
+def test_fidelity_is_none_where_no_model_table_fits_the_budget():
+    # the recovered point needs a table of over 2000**2 cells at tol 1e-8
+    record = sample_run(ExperimentParams(25, 0.5, 3000), 2000, 1)
+    report = estimate_params(record)
+    assert report.fidelity is None
+    assert report.M_hat == pytest.approx(3000, rel=0.1)
+    assert 0.0 < report.eta_hat < 1.0 and math.isfinite(report.mu_hat)
+    assert any(note.startswith("fidelity skipped: table needs over")
+               for note in report.diagnostics)
+
+
 # --- fidelity ------------------------------------------------------------------
 
 
@@ -316,6 +327,19 @@ def test_fidelity_symmetric_and_padded(table_a, table_b):
     assert fidelity(small, table_b.probs) == pytest.approx(
         fidelity(table_b.probs, small), abs=1e-15
     )
+
+
+def test_fidelity_allocates_only_the_overlap():
+    # a union of the two supports would be 3000 x 3000 cells (72 MB)
+    a, b = np.full((3000, 1), 1.0 / 3000), np.full((1, 3000), 1.0 / 3000)
+    tracemalloc.start()
+    try:
+        value = fidelity(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1.0 / 3000, rel=1e-12)
+    assert peak < 2**20
 
 
 def test_fidelity_shift_invariance():

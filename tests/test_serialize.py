@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twinbeam import (
+    FIGURE_IDS,
     ExperimentParams,
     ParameterError,
     SelectionRule,
@@ -180,6 +181,70 @@ def test_reproduce_bytes_are_pinned(tmp_path):
         "joint.csv": "70c88859abe0ff628258d24be878468ba7889cf40ce24166bbae9ef3740b08fe",
         "manifest.json": "3517955b5ea20dbd92f20e5adbb15711e93ccb37f83eab2f53fe4e31426c6d68",
     }
+
+
+# SHA-256 of every file of the five bundles at the default seed and tol.  The
+# sampled files (shots.csv, means_synthetic.csv and the *_synthetic.csv of
+# fig3 and fig5) follow the sampler's per-version stream: a change of the
+# sampler re-pins them and says so.
+_BUNDLE_SHA256 = {
+    "fig2a/joint.csv": "82e31cd5ce633ea5630e3c9f2ade331f5944c58b3c67260fb8a3cae3e1ff2c2f",
+    "fig2a/manifest.json": "e0af4f056fdd82babdb3ad365b4109aaeb23c80c1046135e4e3c88077e45f9bb",
+    "fig2b/joint.csv": "71a7ef07ebd66ab7db4c841a67e13aa310b8334f7f2cfb0cf1bf7ed1a0ed7753",
+    "fig2b/manifest.json": "e93f7d7d6e53f18a3da3cd42b3f4564ab498a1a38844a2351ed9c045fcaa1643",
+    "fig3/above_11_synthetic.csv": "ff74fdd71d19a1d1b00313c2c6312b097561692a3c6329f1ac0fbcf9c69e15a6",
+    "fig3/above_11_theory.csv": "08adcff062e420c0554f2b9827975cf71616d199bcb7d7f0d3b1673b9cd3544c",
+    "fig3/above_17_synthetic.csv": "ad5cd23d33ad4bc63f90eb3294f1741ee409f330b3b5d10c3f9f95b4162893b4",
+    "fig3/above_17_theory.csv": "812dba2526b5c253475584d3302202622c9257823c081c05b2bdc643f927e423",
+    "fig3/below_15_synthetic.csv": "516726afb21f635de63fec4a7ff24fd6bfe84a71a489a81f5ed05b15279d1855",
+    "fig3/below_15_theory.csv": "3d33d9cb95098091970b2405deb4c82a64c7858108b643d4cea6d002b4d465f8",
+    "fig3/below_8_synthetic.csv": "264c859e784ba2ec9aa5a32a36f008c26c8618c2cc5ba8e1a811be2da8a14492",
+    "fig3/below_8_theory.csv": "5498dd15ce0d69ce9d9b8880ebb57d65e6d4984ed8196787d304e7ed9eebb3a9",
+    "fig3/exact_t10_synthetic.csv": "4608d3a6a60e5002d28e01a80c024adc24fcd4515b4944e307a442a3cf89d7d9",
+    "fig3/exact_t10_theory.csv": "736cac305ecf758e4009652d8e4b09cd08e53ad7f1172e25a2848b25e5e043c1",
+    "fig3/exact_t15_synthetic.csv": "a22ebdad6e407ad0e31653c0cc3d01b5ecf2f1784067a4a2a5aa09129e2490f3",
+    "fig3/exact_t15_theory.csv": "8b5cc04dbf177548f66d4efc4da03a815f0273435ae4a69c5f75b0b7f2fa9723",
+    "fig3/manifest.json": "fdd05ed173c084665fb414c521dbb8b04acbc35d070a549ad3a33a5362c7bb31",
+    "fig3/means_synthetic.csv": "b5d89b8d671b702f4c3f67623b60d7d6e39a9f0a588bcd705da4355cc3b5bb5c",
+    "fig3/means_theory.csv": "e6e4ff622e1fe0f3c86d4f6aef07ff02bd9369b568eaaeeb05a1ed97286bd1f4",
+    "fig3/shots.csv": "f821e2c55afc773f960778ce54f0ea775ffdc00cc47fb413f7a21d35a77bb95a",
+    "fig3/unconditioned_theory.csv": "9ac341b9fc9405aa38e4ddf72a93aae96a6251bac94751f105eca242b804f367",
+    "fig4/efficiency_panel.csv": "96be4d2341f5b7a59a4b98485857c8095414be3c6b66eb660fbaa339f7c40912",
+    "fig4/energy_panel.csv": "e771a7c686a42ee5e25fb5e9eae72d3bdfec9630ecfb2dbf5427f6d25d46ee32",
+    "fig4/manifest.json": "443c876b25365b51a737be679dbc62f86d72ebc3377201e2cfeaed0b3ac37b09",
+    "fig4/modes_panel.csv": "9802ebbbbe6e46785b6daa07d9d1d7694c821b247f68b66314318d935615e996",
+    "fig4/trigger_panel.csv": "2967741c8a0a3d6a589713d7225a274de3edbc606fb669041839838f10c5d70e",
+    "fig5/above_17_synthetic.csv": "ffa5db5e9067d88b332626671414b5c50bd675f02b86fb4d43d5030c0936138f",
+    "fig5/above_17_theory.csv": "1f3acd5d840a37e40005790dbcf96858bce2203b1289be54d930269d78c31b8c",
+    "fig5/above_21_synthetic.csv": "bdd283d6c1e43f9dad9eceac08a230975b66c1d2a69cd8da22dce4ec4c748c9c",
+    "fig5/above_21_theory.csv": "fd5525d5fbd4f850c78fab5567cbaec3ed5c72b5bf27f143ee0276f6f7a2d760",
+    "fig5/below_10_synthetic.csv": "3bad6714484e6862e26238363081845589f82cf40703f5b5f80e50efee2537a3",
+    "fig5/below_10_theory.csv": "9390f44843fb16ea3f6d3db22300c95be997373e24fbde1fbe2be024af92b53d",
+    "fig5/below_15_synthetic.csv": "73688f302ca8a12d3005e76a250e3437de4d3938eef39d741534d8b6927c6fe7",
+    "fig5/below_15_theory.csv": "e31941c8384b0c8026439e7cb023e07a239f031684f09eaadab9c927cffd5b2b",
+    "fig5/exact_t13_synthetic.csv": "39041afbd7860941f88d3136341a360ea814e56304937ac1f7a6f0bd244afebb",
+    "fig5/exact_t13_theory.csv": "f6324ef51aaf6e57feca02b5200cdad8bb670a56dbe9485c99339026c4162c7d",
+    "fig5/exact_t19_synthetic.csv": "2b6ec7af67c8126105e2df615efb07188482680d1b312b0d70def504ad75443d",
+    "fig5/exact_t19_theory.csv": "9e2f70887c496abb4c2eea584f0efbb6b2393b1ea78f66feb615ebe4abd28ce5",
+    "fig5/manifest.json": "5e8a0e08fe8c63a47bb51ac8e726d763a2e1963a369f7ebfeb74ebf15f5b3d88",
+    "fig5/means_synthetic.csv": "92609847fa11271b47125e2d743964f26765a692ebc83bcec5830f3825ee65ec",
+    "fig5/means_theory.csv": "7a14a4fac385623999ca1d1d18a24fae7e2d2c999db1a910d0cc3df77d1a2423",
+    "fig5/shots.csv": "0095255383d8c822f91d087f629cdbbe17fac773d6639acb9e3c8815b2d84ef9",
+    "fig5/unconditioned_theory.csv": "ab5e223cabb3c6d08c66c7a32fed3426697f58d13218ce993c35c7724d534c6f",
+}
+
+
+def test_every_bundle_file_is_pinned(tmp_path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["reproduce", *FIGURE_IDS, "--outdir", str(tmp_path)]) == 0
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [line["figure"] for line in lines] == list(FIGURE_IDS)
+    got = {
+        f"{p.parent.name}/{p.name}": _sha256(p.read_text())
+        for p in sorted(tmp_path.glob("*/*"))
+    }
+    assert got == _BUNDLE_SHA256
 
 
 MALFORMED = {

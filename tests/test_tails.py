@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import twinbeam.conditional as conditional
+import twinbeam.core as core
 from twinbeam import (
     ConvergenceError,
     ExperimentParams,
@@ -18,9 +19,10 @@ from twinbeam import (
     TableSizeError,
     build_conditional,
     cond_count_dist,
+    marginal,
 )
 from twinbeam.conditional import _ratio
-from twinbeam.core import _cumsum_into, _exact_cumsum, _law_tail, _log_nb_running
+from twinbeam.core import _law_tail, _log_nb_running
 
 from conftest import PARAMS_A, PARAMS_B
 
@@ -81,13 +83,21 @@ def test_heads_are_the_running_sum_bit_for_bit(tol):
         assert 0.0 < tail <= tol
 
 
-def test_running_sum_continues_from_its_carry():
-    steps = np.random.default_rng(0).normal(size=10_001)
-    whole = _exact_cumsum(steps, -3.5)
-    pieces = np.empty(steps.size)
-    carry = _cumsum_into(pieces[:4000], steps[:4000], -3.5)
-    _cumsum_into(pieces[4000:], steps[4000:], -3.5, carry)
-    assert np.array_equal(whole[1:], pieces)
+def test_a_refilled_head_is_the_running_sum_bit_for_bit(monkeypatch):
+    # the first guess of the support falls short at M/mu = 80 and tol 1e-15,
+    # so the head is summed a second time at the longer length
+    lengths, running = [], core._log_nb_running
+
+    def counted(a, x, n, start=None):
+        lengths.append(n)
+        return running(a, x, n, start)
+
+    monkeypatch.setattr(core, "_log_nb_running", counted)
+    start, x = -math.log1p(80.0), 80.0 / 81.0
+    head, k, tail = _law_tail(1.0, x, 1e-15, start=start)
+    assert len(lengths) == 2 and lengths[0] < lengths[1]
+    assert np.array_equal(head, running(1.0, x, k + 1, start))
+    assert 0.0 < tail <= 1e-15
 
 
 def test_tails_match_decimal_sums():
@@ -113,12 +123,16 @@ def test_binomial_tails_end_with_the_support():
 def test_subnormal_mean_counts_is_the_point_mass_at_zero():
     # the recurrence ratio c = M(1-eta)/(mu + M(2-eta)) underflows to 0 here:
     # above(-1) read [0, 5e-324, 0, ...] with tail_bound 1.0, and below(3)
-    # and from_set([0, 2]) raised on NaN probabilities
-    params = ExperimentParams(1.0, 0.5, 5e-324)
-    for rule in (SelectionRule.above(-1), SelectionRule.below(3), SelectionRule.from_set([0, 2])):
-        dist = cond_count_dist(params, rule, verify=True)
-        assert dist.probs[0] == 1.0 and dist.tail_bound == 0.0
-        assert np.all(dist.probs[2:] == 0.0)
+    # and from_set([0, 2]) raised on NaN probabilities.  At mu = 1e6 the
+    # marginal's q = M/(M + mu) underflows too: its running sum read NaN
+    for mu in (1.0, 1e6):
+        params = ExperimentParams(mu, 0.5, 5e-324)
+        for rule in (SelectionRule.above(-1), SelectionRule.below(3),
+                     SelectionRule.from_set([0, 2])):
+            dist = cond_count_dist(params, rule, verify=True)
+            assert dist.probs[0] == 1.0 and dist.tail_bound == 0.0
+            assert np.all(dist.probs[2:] == 0.0)
+        assert marginal(params, 0) == 1.0 and marginal(params, 2) == 0.0
     assert np.array_equal(_log_nb_running(1.0, 0.0, 3), [0.0, -np.inf, -np.inf])
 
 
