@@ -9,6 +9,7 @@ full-precision, locale-independent formatting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -226,9 +227,13 @@ def _run(args) -> int:
     return 0
 
 
+# main's parser, built on its first call: parsing keeps no state between
+# calls, and argparse looks up sys.stdout/sys.stderr only when it prints
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except TwinbeamError as exc:

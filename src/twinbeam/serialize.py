@@ -1,7 +1,9 @@
 """CSV and JSON wire formats for every file the package writes or reads.
 
-One table maps each object type to its format; one CSV writer, one JSON
-writer and one CSV reader serve every row of it.
+One table maps each object type to its format and, for a CSV form, to the
+finished lines of its rows, formatted a whole column at a time.  One JSON
+writer and one CSV reader serve every row of it; the reader parses a body
+with one ``np.loadtxt`` call (int64 count columns, a float64 ``p`` column).
 
   object                  CSV header                              JSON fields after "schema"
   JointDistribution       s,t,p (s-major row order)               params, tol, probs, tail_bound
@@ -22,11 +24,14 @@ round-trip repr, so files are locale-independent and re-read bit-exactly.
 Every JSON payload opens with ``"schema": 1``; every file ends with a
 newline.  ``read_table`` and ``read_record`` raise ParameterError naming
 the path for a file they cannot read back: missing, not text, a wrong
-header, no rows, a bad cell, invalid JSON or a missing field.
+header, no rows, a ragged row or an empty line between rows, a bad cell
+(not a plain decimal of its column's type: ``1_0``, ``2 # c``, a count
+beyond int64), a negative count, invalid JSON or a missing field.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -48,26 +53,29 @@ SCHEMA = 1
 
 class _Kind(NamedTuple):
     header: str | None  # None: the kind has no CSV form
-    rows: Callable | None  # object -> CSV rows
+    lines: Callable | None  # object -> CSV lines under the header
     fields: Callable  # (object, extra) -> JSON fields after "schema"
 
 
-def _joint_rows(table: JointDistribution):
+def _cells(row) -> str:
+    return ",".join(map(str, row))
+
+
+def _joint_lines(table: JointDistribution):
     n_s, n_t = table.probs.shape
-    s = np.repeat(np.arange(n_s), n_t).tolist()
-    t = np.tile(np.arange(n_t), n_s).tolist()
-    return zip(s, t, table.probs.ravel().tolist())
+    prefixes = [f"{s},{t}," for s in range(n_s) for t in range(n_t)]
+    return map(str.__add__, prefixes, map(repr, table.probs.ravel().tolist()))
 
 
 _KINDS = {
     JointDistribution: _Kind(
-        "s,t,p", _joint_rows,
+        "s,t,p", _joint_lines,
         lambda x, extra: {"params": None if x.params is None else x.params.to_dict(),
                           "tol": x.tol,
                           "probs": x.probs.tolist(), "tail_bound": x.tail_bound},
     ),
     PhotoCountDistribution: _Kind(
-        "s,p", lambda x: enumerate(x.probs.tolist()),
+        "s,p", lambda x: map("{},{!r}".format, range(x.probs.size), x.probs.tolist()),
         lambda x, extra: {"probs": x.probs.tolist(), "tail_bound": x.tail_bound,
                           "tol": x.tol, "mean": x.mean},
     ),
@@ -78,12 +86,12 @@ _KINDS = {
                           "M_t": x.M_t},
     ),
     ShotRecord: _Kind(
-        "s,t", lambda x: x.shots.tolist(),
+        "s,t", lambda x: map("{},{}".format, x.shots[:, 0].tolist(), x.shots[:, 1].tolist()),
         lambda x, extra: {"meta": x.meta, "shots": x.shots.tolist()},
     ),
     # a sweep is the list of SweepRow that nongauss.sweep returns
     list: _Kind(
-        "axis,value,delta,delta_R,S_state,S_ref", lambda x: map(astuple, x),
+        "axis,value,delta,delta_R,S_state,S_ref", lambda x: map(_cells, map(astuple, x)),
         lambda x, extra: {"metadata": {"log_base": "e", **extra}, "rows": list(map(asdict, x))},
     ),
     NonGaussReport: _Kind(None, None, lambda x, extra: {**asdict(x), "log_base": "e", **extra}),
@@ -91,9 +99,13 @@ _KINDS = {
 }
 
 
+def _csv_text(header: str, lines) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
 def format_csv(header: str, rows) -> str:
     """The header line plus one line per row, cells joined by commas."""
-    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+    return _csv_text(header, map(_cells, rows))
 
 
 def format_json(fields: dict, indent: int | None = None) -> str:
@@ -107,7 +119,7 @@ def format_table(obj, fmt: str = "json", extra: dict | None = None) -> str:
     a nonGaussianity report."""
     kind = _KINDS[type(obj)]
     if fmt == "csv" and kind.header is not None:
-        return format_csv(kind.header, kind.rows(obj))
+        return _csv_text(kind.header, kind.lines(obj))
     return format_json(kind.fields(obj, extra or {}))
 
 
@@ -134,27 +146,28 @@ def _read_json(path, key: str):
 def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | None]:
     """Integer count columns as an (n, k) array and the float column ``p``
     (None when the header has none) of a CSV file whose header is one of
-    ``headers``."""
-    lines = _read_text(path).strip().splitlines()
-    header = lines[0].strip() if lines else ""
+    ``headers``.  The body is parsed column-wise by ``np.loadtxt``."""
+    header, _, body = _read_text(path).strip().partition("\n")
+    header = header.strip()
     if header not in headers:
         raise ParameterError(f"{path}: header {header!r} is not one of {headers}")
-    if len(lines) == 1:
+    if not body:
         raise ParameterError(f"{path}: no rows under the header {header!r}")
     names = header.split(",")
-    cells = [line.split(",") for line in lines[1:]]
-    if any(len(row) != len(names) for row in cells):
-        raise ParameterError(f"{path}: every row needs {len(names)} cells ({header})")
-    columns = list(zip(*cells))
     n_counts = len(names) - (names[-1] == "p")
+    dtype = [(name, np.int64 if i < n_counts else np.float64) for i, name in enumerate(names)]
     try:
-        counts = np.array([list(map(int, col)) for col in columns[:n_counts]], dtype=np.int64).T
-        values = np.array(list(map(float, columns[-1]))) if n_counts < len(names) else None
-    except (ValueError, OverflowError) as exc:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, dtype=dtype, ndmin=1)
+        if rows.size != body.count("\n") + 1:  # loadtxt skips empty lines
+            raise ValueError("an empty line")
+    except ValueError as exc:  # the failure path alone scans the lines
+        if any(len(line.split(",")) != len(names) for line in body.splitlines()):
+            raise ParameterError(f"{path}: every row needs {len(names)} cells ({header})") from exc
         raise ParameterError(f"{path}: bad cell ({exc})") from exc
+    counts = np.column_stack([rows[name] for name in names[:n_counts]])
     if counts.min() < 0:
         raise ParameterError(f"{path}: counts must be >= 0")
-    return counts, values
+    return counts, (rows["p"] if n_counts < len(names) else None)
 
 
 def _is_json(path) -> bool:

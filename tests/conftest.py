@@ -71,6 +71,13 @@ def closure_record_b():
     return sample_run(PARAMS_B, 2_000_000, seed=0)
 
 
+def csv_oracle(header: str, rows) -> str:
+    """Oracle: CSV text written one row at a time, the header line and then
+    each row's cells as ``str`` joined by commas, every line ending in a
+    newline."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def per_mode_draw(params: ExperimentParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Oracle: n shots straight from the model definition.  Each of the mu
     modes draws a geometric photon number (inverse transform, shared by both

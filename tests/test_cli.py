@@ -4,6 +4,8 @@ import subprocess
 import sys
 import warnings
 
+import pytest
+
 
 def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "twinbeam", *args]
@@ -200,6 +202,37 @@ def test_malformed_inputs_give_one_error_line(tmp_path, capsys):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+
+def test_consecutive_calls_reuse_one_parser(monkeypatch, capsys):
+    import twinbeam.cli as cli
+
+    verify_flags = []
+    real = cli.cond_count_dist
+
+    def spy(*args, **kwargs):
+        verify_flags.append(kwargs["verify"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cond_count_dist", spy)
+    plain = ["conditional", "--mu", "25", "--eta", "0.056", "--mean", "17.1", "--t", "3",
+             "--tol", "1e-8"]
+    usage_error = ["conditional", "--mu", "25", "--t", "3"]
+    assert cli.main([*plain, "--verify"]) == 0
+    verified = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(usage_error)
+    assert exc.value.code == 2
+    usage = capsys.readouterr()
+    assert cli.main(plain) == 0
+    assert capsys.readouterr() == verified
+    # the flag did not carry over, and the output is a fresh parser's
+    assert verify_flags == [True, False]
+    assert vars(cli._parser().parse_args(plain)) == vars(cli.build_parser().parse_args(plain))
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(usage_error)
+    assert capsys.readouterr() == usage and "--eta" in usage.err
+    assert cli._parser() is cli._parser()
 
 
 def test_sample_determinism_across_workers(tmp_path):

@@ -6,12 +6,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twinbeam import (
     FIGURE_IDS,
     ExperimentParams,
+    JointDistribution,
     ParameterError,
+    PhotoCountDistribution,
     SelectionRule,
+    ShotRecord,
+    SweepRow,
     TableSizeError,
     build_conditional,
     histogram,
@@ -19,6 +24,8 @@ from twinbeam import (
     sample_run,
 )
 from twinbeam import cli, serialize
+
+from conftest import csv_oracle
 
 
 def _write(path, obj, fmt="json"):
@@ -260,6 +267,25 @@ MALFORMED = {
     "not_object.json": "[1, 2]\n",
     "ragged.json": '{"probs": [[1], [1, 2]], "shots": [[1], [1, 2]]}\n',
     "fractional.json": '{"probs": "x", "shots": [[1, 2.5]]}\n',
+    "blank_line.csv": "s,t\n1,2\n\n3,4\n",
+    "whitespace_line.csv": "s,t,p\n0,0,0.5\n \t \n1,1,0.25\n",
+    "comment.csv": "s,t\n1,2 # c\n",
+    "int64_overflow.csv": "s,t\n9223372036854775808,1\n",
+    "underscore.csv": "s,t\n1_0,2\n",
+}
+
+# the reader whose header a malformed CSV file has, and the rule it breaks
+_CSV_REFUSALS = {
+    "header_only.csv": ("read_table", "no rows under the header"),
+    "negative.csv": ("read_table", "counts must be >= 0"),
+    "short_row.csv": ("read_table", "every row needs 3 cells"),
+    "blank_line.csv": ("read_record", "every row needs 2 cells"),
+    "whitespace_line.csv": ("read_table", "every row needs 3 cells"),
+    "non_integer.csv": ("read_record", "bad cell"),
+    "bad_value.csv": ("read_table", "bad cell"),
+    "comment.csv": ("read_record", "bad cell"),
+    "int64_overflow.csv": ("read_record", "bad cell"),
+    "underscore.csv": ("read_record", "bad cell"),
 }
 
 
@@ -278,3 +304,83 @@ def test_sparse_table_file_is_refused_before_allocating(tmp_path):
     path.write_text("s,t,p\n100000,100000,0.5\n")
     with pytest.raises(TableSizeError):
         serialize.read_table(path)
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_REFUSALS))
+def test_csv_refusals_name_the_rule(tmp_path, name):
+    reader, rule = _CSV_REFUSALS[name]
+    path = tmp_path / name
+    path.write_text(MALFORMED[name])
+    with pytest.raises(ParameterError, match=f"^{re.escape(f'{path}: {rule}')}"):
+        getattr(serialize, reader)(path)
+
+
+def test_crlf_and_padded_cells_read_as_plain_ones(tmp_path):
+    for reader, plain, padded in (
+        ("read_table", b"s,t,p\n0,0,0.5\n1,1,0.25\n", b"s,t,p\r\n 0 ,0,\t0.5\r\n1, 1 ,0.25 \r\n"),
+        ("read_record", b"s,t\n1,2\n3,4\n", b"s,t\r\n1 , 2\r\n\t3,4 \r\n"),
+    ):
+        (tmp_path / "plain.csv").write_bytes(plain)
+        (tmp_path / "padded.csv").write_bytes(padded)
+        read = getattr(serialize, reader)
+        want, got = read(tmp_path / "plain.csv"), read(tmp_path / "padded.csv")
+        if reader == "read_record":
+            want, got = want.shots, got.shots
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# probability cells, with zero, the smallest subnormal, other subnormals and
+# tiny normals drawn often; counts up to 2**62, beyond any 32-bit path
+_cell = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0]),
+    st.floats(0.0, 1.0),
+)
+_count = st.integers(0, 2**62)
+
+
+@st.composite
+def _tables(draw):
+    n_s, n_t = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = draw(st.lists(_cell, min_size=n_s * n_t, max_size=n_s * n_t))
+    return np.array(cells).reshape(n_s, n_t)
+
+
+def _loose(cls, probs, **fields):
+    """``cls`` holding any non-negative cells: a tol above their mass puts
+    them inside the mass window."""
+    return cls(probs=probs, tail_bound=1.0, tol=max(1.0, float(probs.sum())), **fields)
+
+
+@given(
+    shots=st.lists(st.tuples(_count, _count), min_size=1, max_size=40),
+    table=_tables(),
+    cells=st.lists(_cell, min_size=1, max_size=40),
+    sweep_cells=st.lists(st.tuples(st.text("abc", min_size=1), *[st.floats()] * 5),
+                         min_size=1, max_size=5),
+)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_writers_match_the_row_oracle_and_read_back_bit_for_bit(
+    tmp_path, shots, table, cells, sweep_cells
+):
+    record = ShotRecord(np.array(shots, dtype=np.int64))
+    joint = _loose(JointDistribution, table, params=None, symmetric=False)
+    dist = _loose(PhotoCountDistribution, np.array(cells))
+    rows = [SweepRow(*row) for row in sweep_cells]
+    cases = (
+        (record, "s,t", shots, serialize.read_record, lambda back: back.shots, record.shots),
+        (joint, "s,t,p", ((s, t, p) for s, row in enumerate(table.tolist())
+                          for t, p in enumerate(row)),
+         serialize.read_table, lambda back: back, table),
+        (dist, "s,p", enumerate(cells), serialize.read_table, lambda back: back, dist.probs),
+        (rows, "axis,value,delta,delta_R,S_state,S_ref", sweep_cells, None, None, None),
+    )
+    for obj, header, oracle_rows, reader, arrays, want in cases:
+        text = serialize.format_table(obj, "csv")
+        assert text == csv_oracle(header, oracle_rows)
+        if reader is not None:
+            path = tmp_path / "file.csv"
+            path.write_text(text)
+            got = arrays(reader(path))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
