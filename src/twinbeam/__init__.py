@@ -13,7 +13,6 @@ from .conditional import (
     cond_count_dist,
     conditional_mean,
     povm_count_dist,
-    weight,
 )
 from .core import (
     JointDistribution,
@@ -21,7 +20,6 @@ from .core import (
     brute_force_joint,
     joint_prob,
     joint_table,
-    log_binomial,
     log_marginal,
     marginal,
     marginal_dist,
@@ -50,7 +48,7 @@ from .nongauss import (
     thermal_entropy,
 )
 from .params import ExperimentParams
-from .sampling import ShotRecord, histogram, sample_run, sample_shot
+from .sampling import ShotRecord, histogram, sample_run
 
 __all__ = [
     "ExperimentParams",
@@ -63,14 +61,12 @@ __all__ = [
     "SweepRow",
     "ShotRecord",
     "EstimationReport",
-    "log_binomial",
     "joint_prob",
     "joint_table",
     "marginal",
     "marginal_dist",
     "log_marginal",
     "brute_force_joint",
-    "weight",
     "conditional_mean",
     "build_conditional",
     "cond_count_dist",
@@ -81,7 +77,6 @@ __all__ = [
     "nongauss_report",
     "solve_mean_counts",
     "sweep",
-    "sample_shot",
     "sample_run",
     "histogram",
     "noise_reduction",

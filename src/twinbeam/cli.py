@@ -188,11 +188,8 @@ def _run(args) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError:
             raise TwinbeamError(f"--values takes comma-separated numbers, got {args.values!r}")
-        fixed = {}
-        for flag, key in (("mt", "M_t"), ("t", "t"), ("eta", "eta"), ("mu", "mu")):
-            value = getattr(args, flag)
-            if value is not None:
-                fixed[key] = value
+        fixed = {key: getattr(args, flag) for flag, key in _AXIS_FLAGS.items()
+                 if getattr(args, flag) is not None}
         _emit(args, sweep(axis, values, fixed, tol=args.tol), {"fixed": fixed, "tol": args.tol})
 
     elif args.command == "sample":

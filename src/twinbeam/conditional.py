@@ -8,13 +8,12 @@ onto a photon-number-diagonal state whose photon total is
 and 1 - rr = eta*(mu + M)/(M + mu*eta).  The C(gamma+mu-1, gamma) mode
 configurations of one total share the eigenvalue
 
-    w(gamma) = C(gamma, t) * rr**(gamma-t) * (1-rr)**(t+mu) / C(t+mu-1, t),
+    w(gamma) = C(gamma, t) * rr**(gamma-t) * (1-rr)**(t+mu) / C(t+mu-1, t).
 
-whose logarithm ``weight`` takes from the odds rr/(1-rr), never from a
-difference.  The state keeps gamma = t .. gamma_max, gamma_max - t the
-smallest k whose upper tail P(NB(t+mu, rr) > k) is <= tol, and stores only the
-log of its photon-total law, an exact running sum of O(1) log-ratios; the
-eigenvalues divide the degeneracies out of it when they are first read.
+The state keeps gamma = t .. gamma_max, gamma_max - t the smallest k whose
+upper tail P(NB(t+mu, rr) > k) is <= tol, and stores only the log of its
+photon-total law, an exact running sum of O(1) log-ratios; its eigenvalues,
+``ConditionalState.weights``, divide the degeneracies out of it when first read.
 The conditional mean count is affine in the trigger value,
 
     M_t = [t*(M + eta*mu) + mu*M*(1-eta)] / (M + mu),
@@ -65,6 +64,7 @@ from .core import (
     _law_tail,
     _log_nb_arr,
     _log_nb_running,
+    _marginal_nb,
     _marginal_probs,
     _mass_sum,
     _validate_count,
@@ -84,7 +84,6 @@ __all__ = [
     "SelectionRule",
     "ConditionalState",
     "ConditionalMixture",
-    "weight",
     "conditional_mean",
     "build_conditional",
     "cond_count_dist",
@@ -245,9 +244,7 @@ class ConditionalMixture:
     tol: float
 
     def __post_init__(self) -> None:
-        w = np.ascontiguousarray(self.member_weights, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "member_weights", w)
+        object.__setattr__(self, "member_weights", _freeze(self.member_weights))
 
     @cached_property
     def states(self) -> tuple[ConditionalState, ...]:
@@ -270,38 +267,6 @@ def _ratio(params: ExperimentParams) -> tuple[float, float]:
     mu, eta, m = params.mu, params.eta, params.mean_counts
     odds = m * (1.0 - eta) / (eta * (mu + m))
     return odds / (1.0 + odds), odds
-
-
-def _require_trigger(params: ExperimentParams, t: int) -> None:
-    log_p2 = log_marginal(params, t)
-    if log_p2 < _LOG_UNDERFLOW:
-        raise ConditioningError(
-            f"trigger outcome t={t} has vanishing probability (log p2 = {log_p2:.1f})"
-        )
-
-
-def weight(params: ExperimentParams, t: int, gamma: int) -> float:
-    """Eigenvalue of the exact-t conditional state at total photon number
-    gamma.  Zero for gamma < t (the trigger cannot over-count photons)."""
-    params.require_lossy()
-    t = _validate_count(t, "t")
-    gamma = _validate_count(gamma, "gamma")
-    if gamma < t:
-        return 0.0
-    if params.mean_counts == 0.0:
-        if t != 0:
-            raise ConditioningError("t > 0 is impossible in vacuum")
-        return 1.0 if gamma == 0 else 0.0
-    _require_trigger(params, t)
-    odds = _ratio(params)[1]
-    # C(gamma, t) / C(t+mu-1, t) = prod_{j<t} (gamma - j)/(j + mu)
-    j = np.arange(t, dtype=float)
-    log_w = (
-        math.fsum(np.log((gamma - j) / (j + params.mu)).tolist())
-        - (gamma - t) * math.log1p(1.0 / odds)
-        - (t + params.mu) * math.log1p(odds)
-    )
-    return math.exp(log_w)
 
 
 def conditional_mean(params: ExperimentParams, t: float) -> float:
@@ -344,7 +309,11 @@ def _build_exact(params: ExperimentParams, t: int, tol: float) -> ConditionalSta
     """The state t + NB(t+mu, rr), its levels and omitted mass from one
     ``_law_tail`` head cut where the omitted mass is <= tol."""
     t = _validate_count(t, "t")
-    _require_trigger(params, t)  # in vacuum (rr = 0), t = 0 and one level remain
+    log_p2 = log_marginal(params, t)  # in vacuum (rr = 0), t = 0 and one level remain
+    if log_p2 < _LOG_UNDERFLOW:
+        raise ConditioningError(
+            f"trigger outcome t={t} has vanishing probability (log p2 = {log_p2:.1f})"
+        )
     refuse = f"the t={t} state needs over {_MAX_LEVELS} photon levels for tol={tol}"
     log_levels, _, tail = _law_tail(t + params.mu, _ratio(params)[0], tol, _MAX_LEVELS, refuse)
     return ConditionalState(
@@ -372,8 +341,8 @@ def _selection(
     if rule.kind == "above":
         refuse = f"{rule.describe()} needs over {_MAX_CELLS_DEFAULT} trigger values, the budget"
         cap = thr + 1 + _MAX_CELLS_DEFAULT
-        head, hi, tail = _law_tail(mu, m / (m + mu), 0.1 * tol, cap, refuse, size=thr + 2,
-                                   start=-mu * math.log1p(m / mu))
+        q, start = _marginal_nb(mu, m)
+        head, hi, tail = _law_tail(mu, q, 0.1 * tol, cap, refuse, size=thr + 2, start=start)
         values, p2 = np.arange(thr + 1, hi + 1), np.exp(head[thr + 1:])
         mass = _mass_sum(p2) + tail
         success = 1.0 if thr < 0 else mass

@@ -59,11 +59,11 @@ from .params import ExperimentParams
 __all__ = [
     "PhotoCountDistribution",
     "JointDistribution",
-    "log_binomial",
     "joint_prob",
     "joint_table",
     "marginal",
     "marginal_dist",
+    "log_marginal",
     "brute_force_joint",
 ]
 
@@ -183,43 +183,10 @@ class JointDistribution:
     def shape(self) -> tuple[int, int]:
         return self.probs.shape  # type: ignore[return-value]
 
-    def marginal_first(self) -> np.ndarray:
-        """Column-summed marginal of the first index."""
-        return self.probs.sum(axis=1)
-
-    def marginal_second(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
 
 # ---------------------------------------------------------------------------
-# log-space combinatorics
+# argument checks
 # ---------------------------------------------------------------------------
-
-
-def log_binomial(n: float, k: int) -> float:
-    """Natural log of the (generalised) binomial coefficient C(n, k).
-
-    n may be any non-negative real; k must be a non-negative integer.  For
-    integer n < k the coefficient is zero and -inf is returned.  Non-integer
-    n < k is rejected: there the gamma-function continuation alternates in
-    sign and has no real logarithm.
-    """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ParameterError(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    if not isinstance(n, (int, float, np.integer, np.floating)) or not math.isfinite(
-        float(n)
-    ):
-        raise ParameterError(f"n must be a finite real, got {n!r}")
-    n = float(n)
-    if n < 0.0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    if n < k:
-        if n.is_integer():
-            return float("-inf")
-        raise ParameterError(f"C(n={n}, k={k}) with non-integer n < k has no real log")
-    return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
 
 
 def _validate_count(value, name: str) -> int:
@@ -342,9 +309,10 @@ def joint_table(params: ExperimentParams, tol: float = 1e-12) -> JointDistributi
     """
     params.require_lossy()
     tol = _validate_tol(tol)
-    mu, m, side = params.mu, params.mean_counts, math.isqrt(_MAX_CELLS_DEFAULT)
+    mu, side = params.mu, math.isqrt(_MAX_CELLS_DEFAULT)
     refuse = f"table needs over {side}**2 cells for tol={tol}, the budget of {_MAX_CELLS_DEFAULT}"
-    head = _law_tail(mu, m / (m + mu), tol / 4, side, refuse, start=-mu * math.log1p(m / mu))[0]
+    q, start = _marginal_nb(mu, params.mean_counts)
+    head = _law_tail(mu, q, tol / 4, side, refuse, start=start)[0]
     return _assembled(JointDistribution, _joint_square(params, np.exp(head)), params=params, tol=tol)
 
 
@@ -487,6 +455,12 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
         hi, acc, block = lo + 1, float(tails[-1]), 4 * block
 
 
+def _marginal_nb(mu: float, m: float) -> tuple[float, float]:
+    """The marginal's law NB(mu, q): q = m/(m + mu) and its exact log p(0),
+    -mu*log1p(m/mu), from the unrounded q."""
+    return m / (m + mu), -mu * math.log1p(m / mu)
+
+
 def _log_nb_arr(mu: float, m: float, t) -> np.ndarray:
     """Log multithermal pmf for mode count mu and mean m, vectorised in t:
     NB(mu, m/(m + mu)) as a running sum up to the largest t.  A few counts
@@ -503,8 +477,8 @@ def _log_nb_arr(mu: float, m: float, t) -> np.ndarray:
             + t * (math.log(m) - math.log(mu))
             - (t + mu) * math.log1p(m / mu)
         )
-    start = -mu * math.log1p(m / mu)  # from the unrounded q
-    return _log_nb_running(mu, m / (m + mu), int(top) + 1, start)[t.astype(np.intp)]
+    q, start = _marginal_nb(mu, m)
+    return _log_nb_running(mu, q, int(top) + 1, start)[t.astype(np.intp)]
 
 
 def _marginal_probs(params: ExperimentParams, n: int) -> np.ndarray:
@@ -529,9 +503,8 @@ def marginal_dist(params: ExperimentParams, tol: float = 1e-12) -> PhotoCountDis
     Refuses a support of more than _MAX_CELLS_DEFAULT counts."""
     tol = _validate_tol(tol)
     refuse = f"marginal needs over {_MAX_CELLS_DEFAULT} counts, the budget"
-    mu, m = params.mu, params.mean_counts
-    start = -mu * math.log1p(m / mu)
-    head = _law_tail(mu, m / (m + mu), tol, _MAX_CELLS_DEFAULT, refuse, start=start)[0]
+    q, start = _marginal_nb(params.mu, params.mean_counts)
+    head = _law_tail(params.mu, q, tol, _MAX_CELLS_DEFAULT, refuse, start=start)[0]
     return _assembled(PhotoCountDistribution, np.exp(head), tol=tol)
 
 

@@ -1,5 +1,9 @@
 """Semantic exception hierarchy shared across the package."""
 
+__all__ = ["TwinbeamError", "ParameterError", "ConvergenceError", "TableSizeError",
+           "ConditioningError", "InfeasibleConstraintError", "TailBoundError",
+           "VerificationError", "DegenerateRecordError"]
+
 
 class TwinbeamError(Exception):
     """Base class for all package errors."""

@@ -248,9 +248,7 @@ def _model_fidelity(
 
 
 def _as_table(dist) -> np.ndarray:
-    if isinstance(dist, JointDistribution):
-        return dist.probs
-    if isinstance(dist, PhotoCountDistribution):
+    if isinstance(dist, (JointDistribution, PhotoCountDistribution)):
         return dist.probs
     arr = np.asarray(dist, dtype=float)
     if arr.ndim not in (1, 2) or arr.size == 0:

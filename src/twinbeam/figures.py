@@ -64,7 +64,6 @@ def reproduce(
         raise ParameterError(f"unknown figure id {figure_id!r}; know {FIGURE_IDS}")
     # absolute, so that writing below it does not apply $TWINBEAM_OUTDIR twice
     outdir = serialize.resolve_output(Path(outdir) / figure_id).absolute()
-    outdir.mkdir(parents=True, exist_ok=True)
     if figure_id in ("fig2a", "fig2b"):
         manifest = _joint_figure(figure_id, outdir, tol)
     elif figure_id in _COND_FIGS:

@@ -14,6 +14,8 @@ from dataclasses import InitVar, asdict, dataclass
 
 from .errors import ParameterError
 
+__all__ = ["ExperimentParams"]
+
 
 @dataclass(frozen=True)
 class ExperimentParams:

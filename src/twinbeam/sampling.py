@@ -36,7 +36,7 @@ from .core import _MAX_CELLS_DEFAULT, JointDistribution
 from .errors import ParameterError, TableSizeError
 from .params import ExperimentParams
 
-__all__ = ["ShotRecord", "sample_shot", "sample_run", "histogram", "BLOCK_SIZE"]
+__all__ = ["ShotRecord", "sample_run", "histogram", "BLOCK_SIZE"]
 
 # Shots per counter block.  Fixed: changing it changes the streams.
 BLOCK_SIZE = 8192
@@ -110,13 +110,6 @@ def _draw_block(params: ExperimentParams, n: int, rng: np.random.Generator) -> n
     np.add(both, rng.poisson(one_arm), out=shots[:, 0])
     np.add(both, rng.poisson(one_arm), out=shots[:, 1])
     return shots
-
-
-def sample_shot(params: ExperimentParams, rng: np.random.Generator) -> tuple[int, int]:
-    """One pulse: a gamma rate, then shared and per-arm Poisson counts."""
-    _validate_sampling(params)
-    pair = _draw_block(params, 1, rng)[0]
-    return int(pair[0]), int(pair[1])
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:

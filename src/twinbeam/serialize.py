@@ -26,7 +26,8 @@ newline.  ``read_table`` and ``read_record`` raise ParameterError naming
 the path for a file they cannot read back: missing, not text, a wrong
 header, no rows, a ragged row or an empty line between rows, a bad cell
 (not a plain decimal of its column's type: ``1_0``, ``2 # c``, a count
-beyond int64), a negative count, invalid JSON or a missing field.
+beyond int64; named by its file line), a negative count, invalid JSON or a
+missing field.  An output path that cannot be written raises it too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import asdict, astuple
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -147,7 +149,8 @@ def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | 
     """Integer count columns as an (n, k) array and the float column ``p``
     (None when the header has none) of a CSV file whose header is one of
     ``headers``.  The body is parsed column-wise by ``np.loadtxt``."""
-    header, _, body = _read_text(path).strip().partition("\n")
+    text = _read_text(path)
+    header, _, body = text.strip().partition("\n")
     header = header.strip()
     if header not in headers:
         raise ParameterError(f"{path}: header {header!r} is not one of {headers}")
@@ -163,7 +166,9 @@ def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | 
     except ValueError as exc:  # the failure path alone scans the lines
         if any(len(line.split(",")) != len(names) for line in body.splitlines()):
             raise ParameterError(f"{path}: every row needs {len(names)} cells ({header})") from exc
-        raise ParameterError(f"{path}: bad cell ({exc})") from exc
+        first = text[:len(text) - len(text.lstrip())].count("\n") + 2  # the file line of row 0
+        where = re.sub(r"at row (\d+)", lambda row: f"on line {int(row[1]) + first}", str(exc))
+        raise ParameterError(f"{path}: bad cell ({where})") from exc
     counts = np.column_stack([rows[name] for name in names[:n_counts]])
     if counts.min() < 0:
         raise ParameterError(f"{path}: counts must be >= 0")
@@ -216,17 +221,21 @@ def read_record(path) -> ShotRecord:
 
 def resolve_output(path):
     """Relative output paths land in $TWINBEAM_OUTDIR when it is set."""
-    if path is None:
-        return None
     path = Path(path)
     base = os.environ.get("TWINBEAM_OUTDIR")
     if base and not path.is_absolute():
         path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
     return path
 
 
 def write_text(path, text: str) -> Path:
     path = resolve_output(path)
-    path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
     return path

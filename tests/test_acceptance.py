@@ -70,7 +70,7 @@ def test_criterion_2_normalisation_and_marginals(table_a, table_b):
         for params, table in zip(BOTH, (table_a, table_b)):
             mass = table.total_mass
             assert 1.0 - 1e-9 <= mass <= 1.0, f"mass {mass}"
-            sums = table.marginal_first()
+            sums = table.probs.sum(axis=1)
             for t in range(table.shape[1]):
                 assert abs(sums[t] - marginal(params, t)) <= 1e-8
             dist = marginal_dist(params, tol=1e-12)

@@ -41,6 +41,20 @@ def test_computation_error_exit_1(tmp_path):
     assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
 
 
+def test_unwritable_output_is_one_error_line(tmp_path):
+    # an output path under a regular file cannot be made a directory
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    for args in (
+        ("marginal", "--mu", "2", "--eta", "0.5", "--mean", "1", "--out", str(blocker / "x.csv")),
+        ("reproduce", "fig2a", "--outdir", str(blocker)),
+    ):
+        cp = run_cli(*args)
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("error: cannot write") and cp.stderr.count("\n") == 1
+        assert str(blocker) in cp.stderr and "Traceback" not in cp.stderr
+
+
 def test_joint_writes_csv(tmp_path):
     out = tmp_path / "fig2a.csv"
     cp = run_cli("joint", "--mu", "197", "--eta", "0.06", "--mean", "13.4",

@@ -20,7 +20,6 @@ from twinbeam import (
     marginal,
     marginal_dist,
     povm_count_dist,
-    weight,
 )
 
 from twinbeam.conditional import _count_law, _selection
@@ -66,9 +65,10 @@ def test_rule_validation():
 
 
 def test_weight_heaviside_support(params_a):
-    for gamma in range(0, 10):
-        assert weight(params_a, 10, gamma) == 0.0
-    assert weight(params_a, 10, 10) > 0.0
+    # the trigger cannot over-count photons: the levels start at gamma = t
+    state = build_conditional(params_a, SelectionRule.exact(10))
+    assert state.gamma_min == state.gammas[0] == 10
+    assert state.weights[0] > 0.0
 
 
 def test_weight_normalisation(params_a):
@@ -96,20 +96,23 @@ def test_weight_matches_photon_conditional_oracle():
     params = ExperimentParams(float(mu), eta, m)
     cutoff = geometric_cutoff(mu, params.mean_photons)
     oracle = photon_conditional_oracle(mu, eta, m, t, cutoff)
+    weights = build_conditional(params, SelectionRule.exact(t)).weights
     for gamma in range(min(len(oracle), 40)):
-        level = math.comb(gamma + mu - 1, gamma) * weight(params, t, gamma)
+        w = weights[gamma - t] if t <= gamma < t + weights.size else 0.0
+        level = math.comb(gamma + mu - 1, gamma) * w
         assert level == pytest.approx(oracle[gamma], abs=1e-10)
 
 
 def test_weight_vacuum_and_errors():
     vac = ExperimentParams(1.0, 0.5, 0.0)
-    assert weight(vac, 0, 0) == 1.0
-    assert weight(vac, 0, 3) == 0.0
+    state = build_conditional(vac, SelectionRule.exact(0))
+    assert state.weights.tolist() == [1.0]  # gamma = 0 alone: every gamma >= 1 has weight 0
+    assert state.level_probs().tolist() == [1.0]
     with pytest.raises(ConditioningError):
-        weight(vac, 2, 2)
+        build_conditional(vac, SelectionRule.exact(2))
     # conditioning on an absurdly large count underflows the marginal
     with pytest.raises(ConditioningError):
-        weight(ExperimentParams(1.0, 0.5, 0.01), 2000, 2000)
+        build_conditional(ExperimentParams(1.0, 0.5, 0.01), SelectionRule.exact(2000))
 
 
 # --- conditional mean ----------------------------------------------------------

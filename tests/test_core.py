@@ -20,7 +20,6 @@ from twinbeam import (
     cond_count_dist,
     joint_prob,
     joint_table,
-    log_binomial,
     log_marginal,
     marginal,
     marginal_dist,
@@ -39,57 +38,6 @@ params_st = st.builds(
     eta=st.floats(0.02, 0.95),
     mean_counts=st.floats(0.0, 30.0),
 )
-
-
-# --- log_binomial -----------------------------------------------------------
-
-
-def test_log_binomial_small_integer():
-    assert log_binomial(5.0, 2) == pytest.approx(math.log(10.0), abs=1e-14)
-
-
-def test_log_binomial_k_zero_is_exact_zero():
-    for n in (0.0, 3.0, 17.5, 1e6):
-        assert log_binomial(n, 0) == 0.0
-
-
-def test_log_binomial_vanishing_coefficient():
-    assert log_binomial(3.0, 5) == -math.inf
-
-
-def test_log_binomial_against_exact_integer_oracle():
-    # big-integer factorials are exact; math.log of a Python int is accurate.
-    # The achievable error is set by cancellation between the lgamma terms:
-    # a few ulps at the scale of lgamma(n+1).
-    cases = [(197 + 50 - 1, 50), (1000, 3), (123, 61), (10**6, 12)]
-    for n, k in cases:
-        exact = math.log(math.comb(n, k))
-        bound = 4.0 * math.ulp(math.lgamma(n + 1.0)) + 1e-13
-        assert abs(log_binomial(float(n), k) - exact) <= bound
-
-
-def test_log_binomial_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        log_binomial(5.0, -1)
-    with pytest.raises(ParameterError):
-        log_binomial(math.inf, 2)
-    with pytest.raises(ParameterError):
-        log_binomial(-1.0, 0)
-    with pytest.raises(ParameterError):
-        log_binomial(2.5, 4)  # non-integer n below k: sign-alternating region
-    with pytest.raises(ParameterError):
-        log_binomial(5.0, 2.0)  # type: ignore[arg-type]
-
-
-@given(n=st.integers(0, 10**6), k=st.integers(0, 300))
-@settings(max_examples=200)
-def test_log_binomial_matches_comb(n, k):
-    ours = log_binomial(float(n), k)
-    if k > n:
-        assert ours == -math.inf
-    else:
-        bound = 4.0 * math.ulp(math.lgamma(n + 1.0)) + 1e-13
-        assert abs(ours - math.log(math.comb(n, k))) <= bound
 
 
 # --- joint_prob -------------------------------------------------------------
@@ -221,7 +169,7 @@ def test_joint_table_matches_cellwise_series(params_b, table_b):
 
 
 def test_joint_table_marginal_consistency(params_a, table_a):
-    column_sums = table_a.marginal_first()
+    column_sums = table_a.probs.sum(axis=1)
     for t in range(table_a.shape[1]):
         assert column_sums[t] == pytest.approx(marginal(params_a, t), abs=1e-8)
     # spotlight the near-mean cell

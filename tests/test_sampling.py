@@ -17,7 +17,6 @@ from twinbeam import (
     marginal_dist,
     noise_reduction,
     sample_run,
-    sample_shot,
 )
 from conftest import per_mode_draw
 
@@ -25,8 +24,7 @@ from conftest import per_mode_draw
 def test_vacuum_always_zero():
     rec = sample_run(ExperimentParams(3.0, 0.4, 0.0), 500, seed=1)
     assert np.all(rec.shots == 0)
-    rng = np.random.default_rng(0)
-    assert sample_shot(ExperimentParams(2.0, 0.9, 0.0), rng) == (0, 0)
+    assert np.all(sample_run(ExperimentParams(2.0, 0.9, 0.0), 1, seed=0).shots == 0)
 
 
 def test_lossless_single_mode_perfectly_correlated():

@@ -315,6 +315,26 @@ def test_csv_refusals_name_the_rule(tmp_path, name):
         getattr(serialize, reader)(path)
 
 
+def test_bad_cell_names_its_line_in_the_file(tmp_path):
+    # numpy counts rows from 0 under the header; the message counts file lines
+    path = tmp_path / "shots.csv"
+    for text, line in (("s,t\n3,4\n5,2.5\n", 3), ("\n\ns,t\n3,4\n5,2.5\n", 5)):
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=f"'2.5' to int64 on line {line}, column 2"):
+            serialize.read_record(path)
+
+
+def test_unwritable_output_path_names_it(tmp_path):
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    for path in (blocker / "x.csv", blocker / "sub" / "x.csv", tmp_path):
+        with pytest.raises(ParameterError, match=f"^cannot write {re.escape(str(path))}: "):
+            serialize.write_text(path, "text\n")
+    with pytest.raises(ParameterError, match="cannot write"):
+        serialize.resolve_output(blocker / "x.csv")
+    assert blocker.read_text() == ""
+
+
 def test_crlf_and_padded_cells_read_as_plain_ones(tmp_path):
     for reader, plain, padded in (
         ("read_table", b"s,t,p\n0,0,0.5\n1,1,0.25\n", b"s,t,p\r\n 0 ,0,\t0.5\r\n1, 1 ,0.25 \r\n"),
