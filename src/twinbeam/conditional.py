@@ -34,9 +34,10 @@ NB(t+mu, rr) photons give NB(t+mu, c) counts, so
 
     P(s | t) = [Bin(t, eta) * NB(t + mu, c)](s),   c = M*(1-eta) / (mu + M*(2-eta)),
 
-c being the ratio of the recurrence's first row.  The count support of t
-sums the two laws' quantiles at tol/8 each, so P(S > s_max | t) <= tol/4;
-P(s | t) grows stochastically with t, so the support of max(A) bounds any
+c being the recurrence's own coefficient (``core._recurrence``), so P(s | 0)
+is the kernel's first row bit for bit.  The count support of t sums the
+two laws' quantiles at tol/8 each, so P(S > s_max | t) <= tol/4; P(s | t)
+grows stochastically with t, so the support of max(A) bounds any
 selection.  ``povm_count_dist`` evaluates this convolution for one state.
 Behind ``verify=True`` the p2(t)/P(A)-weighted mixture of them must agree
 with the Bayes route to 10*tol; it is refused up front (TableSizeError)
@@ -67,6 +68,7 @@ from .core import (
     _marginal_nb,
     _marginal_probs,
     _mass_sum,
+    _recurrence,
     _validate_count,
     _validate_tol,
     log_marginal,
@@ -366,38 +368,36 @@ def _selection(
 # ---------------------------------------------------------------------------
 
 
+def _count_laws(params: ExperimentParams, t: int) -> tuple[tuple[float, float], ...]:
+    """(a, x) of Bin(t, eta) and of NB(t + mu, c), in ``_log_nb_running``'s
+    terms: the two laws whose convolution is P(s | t)."""
+    return (-float(t), -params.eta / (1.0 - params.eta)), (t + params.mu, _recurrence(params)[2])
+
+
 def _count_support(params: ExperimentParams, t: int, tol: float, cap=math.inf, refuse="") -> int:
     """Count support (at least 4) of trigger t and of every mixture whose
     largest member is t: two quantiles at tol/8 (see the module docstring)."""
-    mu, eta, m = params.mu, params.eta, params.mean_counts
-    c = m * (1.0 - eta) / (mu + m * (2.0 - eta))
-    thinned = _law_tail(-float(t), -eta / (1.0 - eta), tol / 8.0, cap, refuse)[1]
-    return max(thinned + _law_tail(t + mu, c, tol / 8.0, cap, refuse)[1], 4)
+    quantiles = (_law_tail(a, x, tol / 8.0, cap, refuse)[1] for a, x in _count_laws(params, t))
+    return max(sum(quantiles), 4)
 
 
 def _count_law(params: ExperimentParams, t: int, size: int) -> np.ndarray:
     """P(s | t) for s < size: Bin(t, eta) convolved with NB(t + mu, c)."""
-    mu, eta, m = params.mu, params.eta, params.mean_counts
-    if m == 0.0:  # vacuum: only t = 0 occurs, and it yields no counts
-        return np.eye(1, size)[0]
-    c = m * (1.0 - eta) / (mu + m * (2.0 - eta))
-    log_binom = _log_nb_running(-float(t), -eta / (1.0 - eta), min(t, size - 1) + 1)
+    (a, x), nb = _count_laws(params, t)
     with np.errstate(under="ignore"):
-        return np.convolve(np.exp(log_binom), np.exp(_log_nb_running(t + mu, c, size)))[:size]
+        binom = np.exp(_log_nb_running(a, x, min(t, size - 1) + 1))
+        return np.convolve(binom, np.exp(_log_nb_running(*nb, size)))[:size]
 
 
-def povm_count_dist(
-    state: ConditionalState, s_max: int | None = None, tol: float = 1e-12
-) -> PhotoCountDistribution:
+def povm_count_dist(state: ConditionalState, tol: float = 1e-12) -> PhotoCountDistribution:
     """Count distribution via the measurement route: the state's photon law,
     t + NB(t+mu, rr), binomially thinned in closed form (see the module
-    docstring); by default up to the count support of its trigger value."""
+    docstring), up to the count support of its trigger value."""
     params = state.params
     params.require_lossy()
     tol = _validate_tol(tol)
-    if s_max is None:
-        s_max = _count_support(params, state.t, tol)
-    return _assembled(PhotoCountDistribution, _count_law(params, state.t, s_max + 1), tol=tol)
+    size = _count_support(params, state.t, tol) + 1
+    return _assembled(PhotoCountDistribution, _count_law(params, state.t, size), tol=tol)
 
 
 def cond_count_dist(

@@ -251,6 +251,14 @@ def joint_prob(params: ExperimentParams, s: int, t: int) -> float:
     ]))
 
 
+def _recurrence(params: ExperimentParams) -> tuple[float, float, float]:
+    """(alpha, beta, c) of the module docstring's recurrence, m = M/mu and
+    D = 1 + m(2-eta); NB(mu, c) is its first row and P(s | 0)."""
+    eta, m = params.eta, params.mean_counts / params.mu
+    den = 1.0 + m * (2.0 - eta)
+    return (1.0 - eta) * (1.0 + m) / den, eta * (1.0 + m) / den, m * (1.0 - eta) / den
+
+
 def _conditional_law(params: ExperimentParams, rows: int, cols: int, tail: bool = False):
     """R(s, t) = P(t | s), or with ``tail`` P(count >= t | s), on the
     rectangle s < rows, t < cols, as a read-only (s, t) view.
@@ -262,10 +270,8 @@ def _conditional_law(params: ExperimentParams, rows: int, cols: int, tail: bool 
     anti-diagonal s + t = d is one vector update from the two before it;
     they are stored by t with a zero pad for t = -1.
     """
-    mu, eta = params.mu, params.eta
-    m = params.mean_counts / mu
-    den = 1.0 + m * (2.0 - eta)
-    alpha, beta, c = (1.0 - eta) * (1.0 + m) / den, eta * (1.0 + m) / den, m * (1.0 - eta) / den
+    mu = params.mu
+    alpha, beta, c = _recurrence(params)
     if tail:
         head, _, rest = _law_tail(mu, c, 1.0, size=cols)
         first_row, first_col = rest + np.cumsum(np.exp(head)[::-1])[::-1], np.ones(rows)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _MAX_CELLS_DEFAULT, JointDistribution
+from .core import _MAX_CELLS_DEFAULT, JointDistribution, _validate_count
 from .errors import ParameterError, TableSizeError
 from .params import ExperimentParams
 
@@ -129,14 +129,11 @@ def sample_run(
     distributes the fixed counter blocks.
     """
     _validate_sampling(params)
-    if isinstance(n_shots, bool) or not isinstance(n_shots, (int, np.integer)) or n_shots < 1:
-        raise ParameterError(f"n_shots must be a positive integer, got {n_shots!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ParameterError(f"workers must be a positive integer, got {workers!r}")
+    n_shots, seed, workers = (_validate_count(v, name) for v, name in
+                              ((n_shots, "n_shots"), (seed, "seed"), (workers, "workers")))
+    if n_shots < 1 or workers < 1:
+        raise ParameterError(f"n_shots and workers must be >= 1, got {n_shots} and {workers}")
 
-    n_shots = int(n_shots)
     blocks = [
         (index, min(BLOCK_SIZE, n_shots - start))
         for index, start in enumerate(range(0, n_shots, BLOCK_SIZE))
@@ -144,17 +141,17 @@ def sample_run(
 
     def run_block(spec: tuple[int, int]) -> np.ndarray:
         index, size = spec
-        return _draw_block(params, size, _block_rng(int(seed), index))
+        return _draw_block(params, size, _block_rng(seed, index))
 
     if workers == 1 or len(blocks) == 1:
         parts = [run_block(spec) for spec in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_block, blocks))
     shots = np.vstack(parts)
     meta = {
         "params": params.to_dict(),
-        "seed": int(seed),
+        "seed": seed,
         "n_shots": n_shots,
     }
     return ShotRecord(shots=shots, meta=meta)

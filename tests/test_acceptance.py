@@ -86,7 +86,8 @@ def test_criterion_3_conditional_state_suite():
                 state = build_conditional(params, SelectionRule.exact(t), tol=1e-12)
                 assert abs(state.norm() - 1.0) <= 1e-8
                 bayes = cond_count_dist(params, SelectionRule.exact(t), tol=1e-12)
-                other = povm_count_dist(state, s_max=len(bayes) - 1, tol=1e-12)
+                other = povm_count_dist(state, tol=1e-12)
+                assert len(other) == len(bayes)
                 assert float(np.abs(bayes.probs - other.probs).max()) <= 1e-8
                 assert abs(bayes.mean - conditional_mean(params, t)) <= 1e-8
             # affine trigger dependence passing through (M, M)

@@ -23,6 +23,7 @@ from twinbeam import (
 )
 
 from twinbeam.conditional import _count_law, _selection
+from twinbeam.core import _conditional_law
 
 from conftest import geometric_cutoff, photon_conditional_oracle
 
@@ -210,8 +211,21 @@ def test_dual_route_agreement(params_a):
     for t in (0, 5, 15, 30):
         bayes = cond_count_dist(params_a, SelectionRule.exact(t), tol=1e-12)
         state = build_conditional(params_a, SelectionRule.exact(t), tol=1e-12)
-        other = povm_count_dist(state, s_max=len(bayes) - 1, tol=1e-12)
+        other = povm_count_dist(state, tol=1e-12)
+        assert len(other) == len(bayes)
         assert np.abs(bayes.probs - other.probs).max() <= 1e-8
+
+
+@pytest.mark.parametrize("mean", [2.1, 0.0], ids=["small-mu", "vacuum"])
+def test_count_law_of_zero_is_the_kernels_first_row(mean):
+    # P(s | 0) = NB(mu, c) takes c from the recurrence, so it is the
+    # kernel's first row bit for bit; in vacuum it is the point mass at 0
+    params = ExperimentParams(2.3, 0.35, mean)
+    for size in (1, 2, 5, 40):
+        law = _count_law(params, 0, size)
+        assert np.array_equal(law, _conditional_law(params, 1, size)[0])
+        if mean == 0.0:
+            assert np.array_equal(law, np.eye(1, size)[0])
 
 
 @pytest.mark.parametrize(

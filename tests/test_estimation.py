@@ -92,6 +92,22 @@ def test_poisson_record_hits_unbounded_mu_diagnostic():
         assert 0.0 < est.standard_errors[key] < math.inf, key
 
 
+def test_variance_equal_to_the_mean_leaves_mu_and_its_error_unbounded():
+    # s = t with var(s) = mean(s) = 120/102: the excess variance is 0, so
+    # mu and its error are both inf
+    counts = np.repeat([0, 1, 2, 3, 4], [26, 53, 7, 11, 5])
+    est = estimate_params(ShotRecord(shots=np.column_stack([counts, counts])),
+                          compute_fidelity=False)
+    assert est.mu_hat == math.inf
+    assert est.standard_errors["mu"] == math.inf
+    assert any("mu unbounded" in d for d in est.diagnostics)
+
+
+def test_noise_reduction_is_the_reports_r_hat(record_a, record_b):
+    for rec in (record_a, record_b):
+        assert noise_reduction(rec) == estimate_params(rec, compute_fidelity=False).R_hat
+
+
 def test_bootstrap_spread_shrinks_with_shots(params_b):
     spreads = []
     for n in (1_000, 10_000, 100_000):

@@ -70,6 +70,8 @@ def test_validation():
         sample_run(good, 10, seed=-1)
     with pytest.raises(ParameterError):
         sample_run(good, 10, seed=0, workers=0)
+    with pytest.raises(ParameterError):
+        sample_run(good, 10, seed=0, workers=True)
 
 
 def test_refuses_rates_beyond_the_poisson_limit():
