@@ -28,7 +28,7 @@ _AXIS_FLAGS = {"mt": "M_t", "t": "t", "eta": "eta", "mu": "mu"}
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, required=True, help="number of modes (>= 1)")
-    parser.add_argument("--eta", type=float, required=True, help="detection efficiency in (0, 1)")
+    parser.add_argument("--eta", type=float, required=True, help="detection efficiency in (0, 1]")
     parser.add_argument("--mean", type=float, required=True, help="mean counts per beam")
 
 
@@ -125,10 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="shot record (csv or json)")
     p.add_argument("--refine", action="store_true",
                    help="maximum-likelihood refinement of (mu, M)")
-    p.add_argument("--bootstrap", type=int, default=200,
-                   help="kept for compatibility and ignored: errors are the delta method's")
     p.add_argument("--bootstrap-seed", type=int, default=0,
-                   help="kept for compatibility and ignored")
+                   help="kept for compatibility and ignored: errors are the delta method's")
     p.add_argument("--no-fidelity", action="store_true",
                    help="skip the model-table fidelity score")
     p.add_argument("--out", default=None, help="write the JSON report here")

@@ -38,11 +38,11 @@ c being the recurrence's own coefficient (``core._recurrence``), so P(s | 0)
 is the kernel's first row bit for bit.  The count support of t sums the
 two laws' quantiles at tol/8 each, so P(S > s_max | t) <= tol/4; P(s | t)
 grows stochastically with t, so the support of max(A) bounds any
-selection.  ``povm_count_dist`` evaluates this convolution for one state.
-Behind ``verify=True`` the p2(t)/P(A)-weighted mixture of them must agree
-with the Bayes route to 10*tol; it is refused up front (TableSizeError)
-when it needs more than 2*_MAX_CELLS_DEFAULT products,
-sum_{t in A} (min(t, s_max) + 1)(s_max + 1), the budget of the strip.
+selection.  ``povm_count_dist`` evaluates this convolution for one state;
+behind ``verify=True`` the p2(t)/P(A)-weighted mixture of them must agree
+with the Bayes route to 10*tol.  Both are refused up front (TableSizeError)
+beyond 2*_MAX_CELLS_DEFAULT products, sum_{t in A} (min(t, s_max) + 1)(s_max
++ 1), the budget of the strip.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .core import (
     _law_tail,
     _log_nb_arr,
     _log_nb_running,
+    _log_pmf,
     _marginal_nb,
     _marginal_probs,
     _mass_sum,
@@ -336,14 +337,21 @@ def _selection(
     above(t*) is open-ended: one ``_law_tail`` head of the marginal lists
     the values up to where the omitted tail is <= tol*P(A)/10, and P(A) is
     their sum plus that tail (no cancellation against 1); the whole head
-    plus that tail must sum to 1.  More than _MAX_CELLS_DEFAULT values (the
-    marginal's budget) are refused before they are listed.
+    plus that tail must sum to 1.  Before that, P(A) <= p2(k)/(1 - rho),
+    k = t* + 1 and rho = p2(k+1)/p2(k) (the ratios fall with k), refuses a
+    vanishing P(A).  More than _MAX_CELLS_DEFAULT values (the marginal's
+    budget) are refused before they are listed.
     """
     thr, mu, m = rule.threshold, params.mu, params.mean_counts
+    refuse = f"{rule.describe()} needs over {_MAX_CELLS_DEFAULT} trigger values, the budget"
+    if rule.kind == "below" and thr > _MAX_CELLS_DEFAULT:
+        raise TableSizeError(refuse)
     if rule.kind == "above":
-        refuse = f"{rule.describe()} needs over {_MAX_CELLS_DEFAULT} trigger values, the budget"
+        (q, start), k = _marginal_nb(mu, m), thr + 1
+        rho = (k + mu) * q / (k + 1)
+        if k and rho < 1.0 and (q == 0.0 or _log_pmf(mu, q, k) < math.log1p(-rho) + _LOG_UNDERFLOW):
+            raise ConditioningError(f"selection {rule.describe()} has vanishing probability")
         cap = thr + 1 + _MAX_CELLS_DEFAULT
-        q, start = _marginal_nb(mu, m)
         head, hi, tail = _law_tail(mu, q, 0.1 * tol, cap, refuse, size=thr + 2, start=start)
         values, p2 = np.arange(thr + 1, hi + 1), np.exp(head[thr + 1:])
         mass = _mass_sum(p2) + tail
@@ -389,6 +397,15 @@ def _count_law(params: ExperimentParams, t: int, size: int) -> np.ndarray:
         return np.convolve(binom, np.exp(_log_nb_running(*nb, size)))[:size]
 
 
+def _measured(params: ExperimentParams, values, weights, size: int, what: str) -> np.ndarray:
+    """The measurement route sum_t w_t P(s | t) for s < size, refused up
+    front beyond 2*_MAX_CELLS_DEFAULT convolution products."""
+    products = int((np.minimum(values, size - 1) + 1).sum()) * size
+    if products > 2 * _MAX_CELLS_DEFAULT:
+        raise TableSizeError(f"{what} needs {products} convolution products")
+    return sum((w * _count_law(params, t, size) for t, w in zip(values, weights)), np.zeros(size))
+
+
 def povm_count_dist(state: ConditionalState, tol: float = 1e-12) -> PhotoCountDistribution:
     """Count distribution via the measurement route: the state's photon law,
     t + NB(t+mu, rr), binomially thinned in closed form (see the module
@@ -397,7 +414,8 @@ def povm_count_dist(state: ConditionalState, tol: float = 1e-12) -> PhotoCountDi
     params.require_lossy()
     tol = _validate_tol(tol)
     size = _count_support(params, state.t, tol) + 1
-    return _assembled(PhotoCountDistribution, _count_law(params, state.t, size), tol=tol)
+    law = _measured(params, [state.t], [1.0], size, f"the t={state.t} count law")
+    return _assembled(PhotoCountDistribution, law, tol=tol)
 
 
 def cond_count_dist(
@@ -418,8 +436,6 @@ def cond_count_dist(
     params.require_lossy()
     tol = _validate_tol(tol)
     values, p2, success = _selection(params, rule, tol)
-    if params.mean_counts == 0.0:  # only t = 0 is possible, and it is accepted
-        return PhotoCountDistribution(probs=np.array([1.0]), tail_bound=0.0, tol=tol)
     width = rule.threshold + 2 if rule.kind == "above" else int(values[-1]) + 1
     # the sweep stores its diagonals by t: (s_max + width) * (width + 1) cells
     refuse = f"{rule.describe()} needs over {2 * _MAX_CELLS_DEFAULT} recurrence cells"
@@ -427,21 +443,15 @@ def cond_count_dist(
     s_max = _count_support(params, int(values[-1]), tol, cap, refuse)
     if (s_max + width) * (width + 1) > 2 * _MAX_CELLS_DEFAULT:
         raise TableSizeError(refuse)
-    if verify:
-        products = int((np.minimum(values, s_max) + 1).sum()) * (s_max + 1)
-        if products > 2 * _MAX_CELLS_DEFAULT:
-            raise TableSizeError(
-                f"verifying {rule.describe()} needs {products} convolution products"
-            )
+    if verify:  # first, so that its budget refuses before any work
+        other = _measured(params, values.tolist(), p2 / success, s_max + 1,
+                          f"verifying {rule.describe()}")
     law = _conditional_law(params, s_max + 1, width, tail=rule.kind == "above")
     given = law[:, -1] if rule.kind == "above" else law[:, values].sum(axis=1)
     bayes = _assembled(
         PhotoCountDistribution, _marginal_probs(params, s_max + 1) * given / success, tol=tol
     )
     if verify:
-        other = np.zeros(s_max + 1)
-        for t, frac in zip(values.tolist(), p2 / success):
-            other += frac * _count_law(params, t, s_max + 1)
         gap = float(np.abs(other - bayes.probs).max())
         if gap > 10.0 * tol:
             raise VerificationError(

@@ -382,6 +382,14 @@ def _step_shift(a: float, x: float, start: float) -> float:
     return math.log1p(-math.expm1((start - a * math.log1p(-x)) / a) * (1.0 - x) / x)
 
 
+def _log_pmf(a: float, x: float, j: int) -> float:
+    """Log pmf at j of the law of ``_log_nb_running`` (x != 0) in the
+    log-gamma form: O(1) at any j, for first guesses and budgets."""
+    gamma = (math.lgamma(j + a) - math.lgamma(a) if a > 0
+             else math.lgamma(1 - a) - math.lgamma(1 - a - j))
+    return a * math.log1p(-x) + j * math.log(abs(x)) + gamma - math.lgamma(j + 1.0)
+
+
 def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", size: int = 1,
               start: float | None = None):
     """Head and upper tail of the law of ``_log_nb_running`` with the same
@@ -405,14 +413,8 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
         return np.append(0.0, np.full(size - 1, -np.inf)), size - 1, 0.0
     end, x0, log_cut = (int(1 - a) if a <= 0 else math.inf), max(x, 0.0), math.log(tol)
     mean, decay = a * x / (1.0 - x), (-1.0 / math.log(x) if x > 0.0 else 0.0)
-
-    def log_pmf(j):  # the log-gamma form, for the first guess and the budget
-        gamma = (math.lgamma(j + a) - math.lgamma(a) if a > 0
-                 else math.lgamma(1 - a) - math.lgamma(1 - a - j))
-        return a * math.log1p(-x) + j * math.log(abs(x)) + gamma - math.lgamma(j + 1.0)
-
     if size > 1:  # below the cut: P(X >= size - 1) >= p(j)/(1-x0), j = max(size - 1, mean)
-        log_cut += min(log_pmf(max(size - 1, int(mean))) - math.log1p(-x0), 0.0)
+        log_cut += min(_log_pmf(a, x, max(size - 1, int(mean))) - math.log1p(-x0), 0.0)
 
     def guess(nats):  # where p falls below e**-nats: a gamma-like bulk, then its decay
         return int(mean + math.sqrt(2.0 * nats * mean / (1.0 - x)) + 2.0 / 3.0 * nats * decay) + 2
@@ -421,7 +423,7 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
     n = min(max(n + n // 16 + 16 if n < 4096 else guess(-log_cut), size + 1), end)
     if n > cap:
         rising = tol < 0.5 and (cap + a) * x >= cap + 1.0  # then P(X >= cap) >= 1/2
-        if rising or log_pmf(cap) - math.log1p(-x0) > math.log(tol):
+        if rising or _log_pmf(a, x, cap) - math.log1p(-x0) > math.log(tol):
             raise TableSizeError(refuse)
         n = cap
     while True:
@@ -527,7 +529,7 @@ def brute_force_joint(mu: int, mean_photons: float, eta: float) -> JointDistribu
     Enumerates the per-mode photon number n (geometric law, both arms carry
     the same n), thins each arm with an exact-integer binomial kernel, and
     convolves the modes.  Intended as an oracle for small mode numbers;
-    eta = 1 (no loss) is allowed here and nowhere else.
+    unlike the closed forms it takes eta = 1 (no loss).
 
     The geometric cutoff is the smallest that leaves a tail below 1e-12
     summed over modes.
@@ -566,11 +568,8 @@ def brute_force_joint(mu: int, mean_photons: float, eta: float) -> JointDistribu
     # upper triangle so the stored table is exactly symmetric.
     table = np.triu(table) + np.triu(table, 1).T
 
-    provenance = (
-        ExperimentParams(mu, eta, eta * n_mean) if eta < 1.0 else
-        ExperimentParams(mu, eta, eta * n_mean, allow_unit_eta=True)
-    )
-    return _assembled(JointDistribution, table, params=provenance, tol=_ORACLE_TAIL)
+    params = ExperimentParams(mu, eta, eta * n_mean)
+    return _assembled(JointDistribution, table, params=params, tol=_ORACLE_TAIL)
 
 
 def _convolve_full(x: np.ndarray, y: np.ndarray) -> np.ndarray:

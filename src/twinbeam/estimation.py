@@ -19,8 +19,10 @@ influence functions in one pass over the record, which keeps the arm-arm
 correlation of a shot and draws no random numbers.  The estimates and
 their errors share one set of sample moments (mean(s + t) and the
 variances of s, t and s - t, each taken once), so the mu error is inf
-exactly where mu_hat is.  Agreement between a model table and an
-empirical histogram is the Bhattacharyya coefficient sum_{cells}
+exactly where mu_hat is.  The model at the estimates, for
+``EstimationReport.params`` and the fidelity alike, clamps mu at the
+domain bound 1, as the ML root does.  Agreement between a model table and
+an empirical histogram is the Bhattacharyya coefficient sum_{cells}
 sqrt(p*q) over the overlap of their supports (no other cell adds to it),
 with each table normalised by its total mass.
 """
@@ -28,7 +30,7 @@ with each table normalised by its total mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,8 +52,9 @@ class EstimationReport:
     R_hat = 1 - eta_hat by construction.  mu_hat is +inf with a diagnostic
     when the sample variance does not exceed the mean (no overdispersion to
     attribute to mode structure), and so is its error.  standard_errors
-    holds the errors of M, R, eta and mu.  fidelity is None when no valid
-    model table can be built from the estimates.
+    holds the errors of M, R, eta and mu.  fidelity is None, with the
+    reason as a diagnostic, where no model table can be built (eta_hat = 1,
+    mu_hat = inf, or a table beyond the budget).
     """
 
     M_hat: float
@@ -64,9 +67,8 @@ class EstimationReport:
     n_shots: int = 0
 
     def params(self) -> ExperimentParams:
-        """Estimates as an ExperimentParams; raises if out of domain."""
-        if not math.isfinite(self.mu_hat):
-            raise ParameterError("mu estimate is unbounded; no valid parameter set")
+        """The model at the estimates, mu clamped at the domain bound 1 (the
+        bound of ``_ml_refine``); raises ParameterError if still out of domain."""
         return ExperimentParams(max(self.mu_hat, 1.0), self.eta_hat, self.M_hat)
 
 
@@ -166,18 +168,19 @@ def estimate_params(
     if refine and math.isfinite(mu_hat):
         mu_hat, m_hat = _ml_refine(np.concatenate([record.s, record.t]), diagnostics)
         diagnostics.append("mu/M refined by maximum likelihood")
-    fid = (_model_fidelity(record, m_hat, eta_hat, mu_hat, diagnostics)
-           if compute_fidelity else None)
-    return EstimationReport(
+    if mu_hat < 1.0:
+        diagnostics.append(f"moment mu {mu_hat!r} is below the domain bound; models take mu = 1")
+    report = EstimationReport(
         M_hat=m_hat,
         eta_hat=eta_hat,
         mu_hat=mu_hat,
         R_hat=r_hat,
-        fidelity=fid,
+        fidelity=None,
         standard_errors=errors,
-        diagnostics=tuple(diagnostics),
         n_shots=len(record),
     )
+    fid = _model_fidelity(record, report, diagnostics) if compute_fidelity else None
+    return replace(report, fidelity=fid, diagnostics=tuple(diagnostics))
 
 
 def _standard_errors(s, t, m, r, excess, v_sum, vd) -> dict:
@@ -217,20 +220,14 @@ def _standard_errors(s, t, m, r, excess, v_sum, vd) -> dict:
     return errors
 
 
-def _model_fidelity(
-    record: ShotRecord,
-    m_hat: float,
-    eta_hat: float,
-    mu_hat: float,
-    diagnostics: list[str],
-) -> float | None:
-    if not (math.isfinite(mu_hat) and mu_hat >= 1.0 and 0.0 < eta_hat < 1.0 and m_hat > 0.0):
-        diagnostics.append("fidelity skipped: estimates leave the model domain")
-        return None
+def _model_fidelity(record: ShotRecord, report: EstimationReport,
+                    diagnostics: list[str]) -> float | None:
+    """Fidelity of the record against the model table at ``report.params()``,
+    or None with the refusal as a diagnostic."""
     try:
-        model = joint_table(ExperimentParams(mu_hat, eta_hat, m_hat), tol=_TABLE_TOL)
+        model = joint_table(report.params(), tol=_TABLE_TOL)
         return fidelity(histogram(record), model)
-    except TableSizeError as exc:
+    except (ParameterError, TableSizeError) as exc:
         diagnostics.append(f"fidelity skipped: {exc}")
         return None
 

@@ -4,7 +4,8 @@ In the model each of the mu modes carries a geometric photon number of
 ratio lambda_sq, shared by both arms, and each arm is thinned by binomial
 detection at efficiency eta.  A sum of mu such geometrics is exactly the
 photon total N ~ NegBin(mu, 1 - lambda_sq), which is a Poisson total of
-gamma-distributed rate L = Gamma(mu) * mean_photons / mu.  Given L, binomial
+gamma-distributed rate L = Gamma(mu) * mean_photons / mu, for any real
+mu >= 1 (so a fitted, non-integer mu samples too).  Given L, binomial
 detection on two arms splits the Poisson(L) photons into three independent
 Poisson counts: photons seen by both arms (rate L eta^2) and photons seen by
 one arm only (rate L eta (1 - eta) each).  So a pulse is
@@ -79,21 +80,6 @@ class ShotRecord:
         return self.shots[:, 1]
 
 
-def _validate_sampling(params: ExperimentParams) -> None:
-    if not 0.0 < params.eta <= 1.0:
-        raise ParameterError(f"eta must be in (0, 1] for sampling, got {params.eta}")
-    if not float(params.mu).is_integer():
-        raise ParameterError(
-            f"sampling requires an integer number of physical modes, got mu={params.mu}"
-        )
-    # A Gamma(mu) draw exceeds mu + 40 sqrt(mu) + 700 with probability below
-    # e**-740 for every mu >= 1; below this bound each Poisson rate stays
-    # inside numpy's limit (about 9.22e18) and each shot's counts inside int64.
-    mu = params.mu
-    if params.mean_counts / mu * (mu + 40.0 * math.sqrt(mu) + 700.0) > 2.0**62:
-        raise ParameterError(f"mean counts {params.mean_counts} too large to sample")
-
-
 def _draw_block(params: ExperimentParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """n shots from one stream, as one gamma rate and three Poisson counts.
 
@@ -128,7 +114,12 @@ def sample_run(
     The result is bitwise-independent of ``workers``: parallelism only
     distributes the fixed counter blocks.
     """
-    _validate_sampling(params)
+    # A Gamma(mu) draw exceeds mu + 40 sqrt(mu) + 700 with probability below
+    # e**-740 for every mu >= 1; below this bound each Poisson rate stays
+    # inside numpy's limit (about 9.22e18) and each shot's counts inside int64.
+    mu = params.mu
+    if params.mean_counts / mu * (mu + 40.0 * math.sqrt(mu) + 700.0) > 2.0**62:
+        raise ParameterError(f"mean counts {params.mean_counts} too large to sample")
     n_shots, seed, workers = (_validate_count(v, name) for v, name in
                               ((n_shots, "n_shots"), (seed, "seed"), (workers, "workers")))
     if n_shots < 1 or workers < 1:
@@ -172,7 +163,7 @@ def histogram(record: ShotRecord) -> JointDistribution:
     n = len(record)
     try:
         params = ExperimentParams.from_dict(record.meta["params"])
-    except (KeyError, TypeError):  # no complete params mapping in the record
+    except (KeyError, TypeError, ParameterError):  # provenance it cannot read: dropped
         params = None
     return JointDistribution(
         probs=counts / n,

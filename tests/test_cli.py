@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 import warnings
@@ -266,8 +267,7 @@ def test_sample_estimate_round_trip(tmp_path):
     report = tmp_path / "report.json"
     assert run_cli("sample", "--mu", "25", "--eta", "0.056", "--mean", "17.1",
                    "--shots", "20000", "--seed", "0", "--out", str(rec)).returncode == 0
-    cp = run_cli("estimate", "--input", str(rec), "--bootstrap", "50",
-                 "--out", str(report))
+    cp = run_cli("estimate", "--input", str(rec), "--out", str(report))
     assert cp.returncode == 0, cp.stderr
     assert "mean counts" in cp.stdout
     payload = json.loads(report.read_text())
@@ -294,9 +294,61 @@ def test_estimate_reads_json_records(tmp_path):
     assert run_cli("sample", "--mu", "2", "--eta", "0.5", "--mean", "1",
                    "--shots", "500", "--seed", "3", "--format", "json",
                    "--out", str(rec)).returncode == 0
-    cp = run_cli("estimate", "--input", str(rec), "--bootstrap", "10")
+    cp = run_cli("estimate", "--input", str(rec))
     assert cp.returncode == 0, cp.stderr
     assert "mean counts" in cp.stdout
+
+
+def test_estimate_ignores_provenance_out_of_the_domain(tmp_path, capsys):
+    # the estimates never read meta; eta = 1.5 there ended the command with
+    # an error that did not name the file
+    import twinbeam.cli as cli
+
+    rec = tmp_path / "run.json"
+    assert cli.main(["sample", "--mu", "2", "--eta", "0.5", "--mean", "1",
+                     "--shots", "500", "--seed", "3", "--out", str(rec)]) == 0
+    payload = json.loads(rec.read_text())
+    payload["meta"]["params"]["eta"] = 1.5
+    rec.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["estimate", "--input", str(rec)]) == 0
+    assert "fidelity   : 0." in capsys.readouterr().out
+
+
+def test_unit_eta_and_real_mu_run_where_the_model_is_defined(tmp_path, capsys):
+    import twinbeam.cli as cli
+
+    point = ["--mu", "3", "--eta", "1", "--mean", "2"]
+    for argv in (["joint", *point], ["conditional", *point, "--t", "1"],
+                 ["nongauss", *point, "--t", "1"],
+                 ["sweep", "--axis", "t", "--values", "1,2", "--mt", "2", "--eta", "1",
+                  "--mu", "3"]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), (argv, err)
+    rec = tmp_path / "lossless.csv"
+    assert cli.main(["marginal", *point]) == 0
+    assert cli.main(["sample", *point, "--shots", "300", "--seed", "1", "--out", str(rec)]) == 0
+    assert cli.main(["estimate", "--input", str(rec)]) == 0
+    out = capsys.readouterr().out
+    assert "fidelity   : None" in out and "require eta < 1" in out
+    assert cli.main(["sample", "--mu", "2.5", "--eta", "0.3", "--mean", "1",
+                     "--shots", "100", "--seed", "1"]) == 0
+
+
+def _limit_address_space():  # 2e9 bytes, the limit of `ulimit -v 2000000`
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+@pytest.mark.parametrize("flag", ["--above", "--below"])
+def test_huge_thresholds_are_one_error_line_in_a_small_address_space(flag):
+    cmd = [sys.executable, "-m", "twinbeam", "conditional", "--mu", "197", "--eta", "0.06",
+           "--mean", "13.4", flag, "100000000"]
+    cp = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                        preexec_fn=_limit_address_space)
+    assert cp.returncode == 1, cp.stderr
+    err = cp.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 def test_fidelity_dimension_mismatch_is_a_computation_error(tmp_path):

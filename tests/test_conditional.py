@@ -12,6 +12,7 @@ from twinbeam import (
     ExperimentParams,
     ParameterError,
     SelectionRule,
+    TableSizeError,
     VerificationError,
     build_conditional,
     cond_count_dist,
@@ -245,6 +246,16 @@ def test_stored_state_thins_to_the_count_law(point, t):
             if g >= s
         )
         assert dist.probs[s] == pytest.approx(thinned, abs=1e-12)
+
+
+def test_povm_count_dist_is_refused_beyond_the_convolution_budget():
+    # t = 1e5 needs about 1e10 products: it convolved for seconds, then
+    # raised a false ConvergenceError from the drift of the long sums
+    state = build_conditional(ExperimentParams(1, 0.5, 1e5), SelectionRule.exact(100_000))
+    start = time.perf_counter()
+    with pytest.raises(TableSizeError, match="convolution products"):
+        povm_count_dist(state)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_flag_runs_clean(params_b):

@@ -85,7 +85,7 @@ def test_joint_prob_symmetric_exactly():
 
 
 def test_joint_prob_rejects_unit_eta():
-    p = ExperimentParams(1.0, 1.0, 2.0, allow_unit_eta=True)
+    p = ExperimentParams(1.0, 1.0, 2.0)
     with pytest.raises(ParameterError):
         joint_prob(p, 1, 1)
 

@@ -13,6 +13,7 @@ from twinbeam import (
     TableSizeError,
     estimate_params,
     fidelity,
+    histogram,
     joint_table,
     noise_reduction,
     sample_run,
@@ -310,6 +311,44 @@ def test_fidelity_is_none_where_no_model_table_fits_the_budget():
     assert 0.0 < report.eta_hat < 1.0 and math.isfinite(report.mu_hat)
     assert any(note.startswith("fidelity skipped: table needs over")
                for note in report.diagnostics)
+
+
+def test_moment_mu_below_one_is_clamped_for_the_fidelity_with_a_note():
+    # mu_hat = 0.9937 here: the fidelity scores the model that params()
+    # returns, mu clamped at 1, instead of skipping it
+    record = sample_run(ExperimentParams(1, 0.5, 2), 20_000, 1)
+    report = estimate_params(record)
+    assert 0.99 < report.mu_hat < 1.0
+    assert report.params() == ExperimentParams(1.0, report.eta_hat, report.M_hat)
+    model = joint_table(report.params(), tol=1e-8)
+    assert report.fidelity == fidelity(histogram(record), model) > 0.99
+    assert sum("below the domain bound" in note for note in report.diagnostics) == 1
+
+
+def test_lossless_record_gets_no_fidelity_and_the_closed_forms_reason():
+    # s = t gives eta_hat = 1: in the domain, but no closed-form table exists
+    report = estimate_params(sample_run(ExperimentParams(2.0, 1.0, 1.5), 5_000, 2))
+    assert report.eta_hat == 1.0 and report.fidelity is None
+    assert "fidelity skipped: closed-form statistics require eta < 1" in report.diagnostics
+    with pytest.raises(ParameterError):
+        joint_table(report.params())
+
+
+def test_unbounded_mu_gets_no_fidelity_and_the_domain_reason():
+    counts = np.repeat([0, 1, 2, 3, 4], [26, 53, 7, 11, 5])
+    report = estimate_params(ShotRecord(shots=np.column_stack([counts, counts])))
+    assert report.mu_hat == math.inf and report.fidelity is None
+    assert "fidelity skipped: mu must be finite, got inf" in report.diagnostics
+    with pytest.raises(ParameterError, match="mu must be finite"):
+        report.params()
+
+
+def test_unreadable_provenance_is_dropped_not_an_error():
+    # estimation never reads meta; an out-of-domain eta there is not an error
+    rec = sample_run(ExperimentParams(2.0, 0.5, 1.0), 2_000, 3)
+    bad = ShotRecord(shots=rec.shots, meta={"params": {"mu": 2.0, "eta": 1.5, "mean_counts": 1.0}})
+    assert histogram(bad).params is None
+    assert estimate_params(bad) == estimate_params(rec)
 
 
 # --- fidelity ------------------------------------------------------------------

@@ -33,7 +33,6 @@ def test_vacuum():
     [
         (0.5, 0.5, 1.0),
         (1.0, 0.0, 1.0),
-        (1.0, 1.0, 1.0),
         (1.0, 1.2, 1.0),
         (1.0, 0.5, -0.1),
         (math.nan, 0.5, 1.0),
@@ -45,12 +44,10 @@ def test_rejects_out_of_domain(mu, eta, m):
         ExperimentParams(mu, eta, m)
 
 
-def test_unit_eta_needs_opt_in():
-    with pytest.raises(ParameterError):
-        ExperimentParams(1.0, 1.0, 2.0)
-    p = ExperimentParams(1.0, 1.0, 2.0, allow_unit_eta=True)
+def test_unit_eta_is_accepted_and_refused_by_require_lossy():
+    p = ExperimentParams(1.0, 1.0, 2.0)
     assert p.mean_photons == 2.0
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="require eta < 1"):
         p.require_lossy()
 
 

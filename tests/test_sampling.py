@@ -28,7 +28,7 @@ def test_vacuum_always_zero():
 
 
 def test_lossless_single_mode_perfectly_correlated():
-    params = ExperimentParams(1.0, 1.0, 2.0, allow_unit_eta=True)
+    params = ExperimentParams(1.0, 1.0, 2.0)
     rec = sample_run(params, 2000, seed=3)
     assert np.array_equal(rec.s, rec.t)
     assert rec.s.max() > 0
@@ -60,9 +60,6 @@ def test_shot_count_not_multiple_of_block():
 
 
 def test_validation():
-    params = ExperimentParams(2.5, 0.3, 1.0)
-    with pytest.raises(ParameterError):
-        sample_run(params, 10, seed=0)  # non-integer mode count
     good = ExperimentParams(2.0, 0.3, 1.0)
     with pytest.raises(ParameterError):
         sample_run(good, 0, seed=0)
@@ -154,7 +151,7 @@ def big_run_b(params_b):
      (25, 0.3, 1.0), (25, 1.0, 1.0), (3, 0.3, 0.0)],
 )
 def test_sampler_matches_per_mode_oracle(mu, eta, m):
-    params = ExperimentParams(float(mu), eta, m, allow_unit_eta=eta == 1.0)
+    params = ExperimentParams(float(mu), eta, m)
     sampled = histogram(sample_run(params, 200_000, seed=4))
     oracle = histogram(
         ShotRecord(shots=per_mode_draw(params, 200_000, np.random.default_rng(5)))
@@ -171,6 +168,7 @@ def test_sampler_matches_per_mode_oracle(mu, eta, m):
 # the table) are pooled into one cell; z = (chi2 - dof)/sqrt(2 dof).
 @pytest.mark.parametrize("mu, eta, m", [
     (197.0, 0.06, 13.4), (25.0, 0.056, 17.1), (1.0, 0.5, 0.5), (3.0, 0.45, 2.9),
+    (2.5, 0.3, 1.0),  # a fitted, non-integer mode count
 ])
 def test_sampler_passes_chi_square_against_joint_table(mu, eta, m):
     n = 2_000_000

@@ -3,8 +3,10 @@ sum, and its tails against 40-digit decimal sums where the doubles of the
 law underflow."""
 
 import decimal
+import itertools
 import math
 import time
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 import twinbeam.conditional as conditional
 import twinbeam.core as core
 from twinbeam import (
+    ConditioningError,
     ConvergenceError,
     ExperimentParams,
     SelectionRule,
@@ -124,14 +127,17 @@ def test_subnormal_mean_counts_is_the_point_mass_at_zero():
     # the recurrence ratio c = M(1-eta)/(mu + M(2-eta)) underflows to 0 here:
     # above(-1) read [0, 5e-324, 0, ...] with tail_bound 1.0, and below(3)
     # and from_set([0, 2]) raised on NaN probabilities.  At mu = 1e6 the
-    # marginal's q = M/(M + mu) underflows too: its running sum read NaN
-    for mu in (1.0, 1e6):
-        params = ExperimentParams(mu, 0.5, 5e-324)
+    # marginal's q = M/(M + mu) underflows too: its running sum read NaN.
+    # M = 0 takes the same path and gives the same support
+    for mu, m in itertools.product((1.0, 1e6), (5e-324, 0.0)):
+        params = ExperimentParams(mu, 0.5, m)
         for rule in (SelectionRule.above(-1), SelectionRule.below(3),
                      SelectionRule.from_set([0, 2])):
             dist = cond_count_dist(params, rule, verify=True)
             assert dist.probs[0] == 1.0 and dist.tail_bound == 0.0
-            assert np.all(dist.probs[2:] == 0.0)
+            assert np.all(dist.probs[2:] == 0.0) and len(dist) == 5
+            if m == 0.0:
+                assert np.array_equal(dist.probs, [1.0, 0.0, 0.0, 0.0, 0.0])
         assert marginal(params, 0) == 1.0 and marginal(params, 2) == 0.0
     assert np.array_equal(_log_nb_running(1.0, 0.0, 3), [0.0, -np.inf, -np.inf])
 
@@ -157,3 +163,21 @@ def test_a_long_below_rule_is_refused_quickly():
     with pytest.raises(TableSizeError):
         cond_count_dist(PARAMS_A, SelectionRule.below(5_000_001))
     assert time.perf_counter() - start < 3.0
+
+
+def test_huge_thresholds_are_refused_before_listing_the_marginal():
+    # above(t*) summed the marginal up to t* before finding P(A) vanishing,
+    # and below(t*) listed t* values before any budget: tens of MB here,
+    # GiB at t* = 1e8, where the command line ended in a MemoryError
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConditioningError, match="vanishing probability"):
+            build_conditional(PARAMS_A, SelectionRule.above(10**6))
+        with pytest.raises(TableSizeError, match="trigger values"):
+            build_conditional(PARAMS_A, SelectionRule.below(4_000_001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the bound refuses only vanishing selections: above(200) at A is 1e-114
+    assert 0.0 < build_conditional(PARAMS_A, SelectionRule.above(200)).success_prob < 1e-100
