@@ -12,8 +12,8 @@ configurations of one total share the eigenvalue
 
 The state keeps gamma = t .. gamma_max, gamma_max - t the smallest k whose
 upper tail P(NB(t+mu, rr) > k) is <= tol, and stores only the log of its
-photon-total law, an exact running sum of O(1) log-ratios; its eigenvalues,
-``ConditionalState.weights``, divide the degeneracies out of it when first read.
+photon-total law, the running sum of ``core`` for (t + mu, rr/(1-rr)); its
+eigenvalues, ``ConditionalState.weights``, divide the degeneracies out of it.
 The conditional mean count is affine in the trigger value,
 
     M_t = [t*(M + eta*mu) + mu*M*(1-eta)] / (M + mu),
@@ -63,10 +63,8 @@ from .core import (
     _exact_cumsum,
     _freeze,
     _law_tail,
-    _log_nb_arr,
     _log_nb_running,
     _log_pmf,
-    _marginal_nb,
     _marginal_probs,
     _mass_sum,
     _recurrence,
@@ -209,10 +207,8 @@ class ConditionalState:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Eigenvalue per level: its probability over C(gamma+mu-1, gamma),
-        the log of which is the running sum of log((j+mu)/(j+1)), j < gamma."""
-        mu, top = self.params.mu, int(self.gammas[-1])
-        log_deg = _exact_cumsum(np.log1p((mu - 1.0) / np.arange(1.0, top + 1)))[self.t:]
+        """Eigenvalue per level: its probability over C(gamma+mu-1, gamma)."""
+        log_deg = _log_degeneracy(self.params.mu, int(self.gammas[-1]) + 1)[self.t:]
         with np.errstate(under="ignore"):
             return _freeze(np.exp(self.log_levels - log_deg))
 
@@ -264,12 +260,16 @@ class ConditionalMixture:
 # ---------------------------------------------------------------------------
 
 
-def _ratio(params: ExperimentParams) -> tuple[float, float]:
-    """rr and its odds rr/(1 - rr) = M(1-eta)/(eta(mu + M)); log rr and
-    log(1 - rr) are -log1p of the inverse odds and of the odds."""
+def _ratio(params: ExperimentParams) -> float:
+    """The odds rr/(1 - rr) = M(1-eta)/(eta(mu + M)) of the photon law
+    NB(t + mu, rr) of every exact-t state."""
     mu, eta, m = params.mu, params.eta, params.mean_counts
-    odds = m * (1.0 - eta) / (eta * (mu + m))
-    return odds / (1.0 + odds), odds
+    return m * (1.0 - eta) / (eta * (mu + m))
+
+
+def _log_degeneracy(mu: float, n: int) -> np.ndarray:
+    """log C(gamma+mu-1, gamma), gamma < n: the mode configurations of a total."""
+    return _exact_cumsum(np.log1p((mu - 1.0) / np.arange(1.0, n)))
 
 
 def conditional_mean(params: ExperimentParams, t: float) -> float:
@@ -318,7 +318,7 @@ def _build_exact(params: ExperimentParams, t: int, tol: float) -> ConditionalSta
             f"trigger outcome t={t} has vanishing probability (log p2 = {log_p2:.1f})"
         )
     refuse = f"the t={t} state needs over {_MAX_LEVELS} photon levels for tol={tol}"
-    log_levels, _, tail = _law_tail(t + params.mu, _ratio(params)[0], tol, _MAX_LEVELS, refuse)
+    log_levels, _, tail = _law_tail(t + params.mu, _ratio(params), tol, _MAX_LEVELS, refuse)
     return ConditionalState(
         t=t,
         params=params,
@@ -342,17 +342,17 @@ def _selection(
     vanishing P(A).  More than _MAX_CELLS_DEFAULT values (the marginal's
     budget) are refused before they are listed.
     """
-    thr, mu, m = rule.threshold, params.mu, params.mean_counts
+    thr, mu, odds = rule.threshold, params.mu, params.mean_counts / params.mu
     refuse = f"{rule.describe()} needs over {_MAX_CELLS_DEFAULT} trigger values, the budget"
     if rule.kind == "below" and thr > _MAX_CELLS_DEFAULT:
         raise TableSizeError(refuse)
     if rule.kind == "above":
-        (q, start), k = _marginal_nb(mu, m), thr + 1
-        rho = (k + mu) * q / (k + 1)
-        if k and rho < 1.0 and (q == 0.0 or _log_pmf(mu, q, k) < math.log1p(-rho) + _LOG_UNDERFLOW):
+        k = thr + 1
+        rho = (k + mu) * odds / ((k + 1) * (1.0 + odds))
+        if k and rho < 1.0 and (odds == 0.0 or _log_pmf(mu, odds, k) < math.log1p(-rho) + _LOG_UNDERFLOW):
             raise ConditioningError(f"selection {rule.describe()} has vanishing probability")
         cap = thr + 1 + _MAX_CELLS_DEFAULT
-        head, hi, tail = _law_tail(mu, q, 0.1 * tol, cap, refuse, size=thr + 2, start=start)
+        head, hi, tail = _law_tail(mu, odds, 0.1 * tol, cap, refuse, size=thr + 2)
         values, p2 = np.arange(thr + 1, hi + 1), np.exp(head[thr + 1:])
         mass = _mass_sum(p2) + tail
         success = 1.0 if thr < 0 else mass
@@ -360,11 +360,11 @@ def _selection(
         if abs(total - 1.0) > 0.1 * tol + _FLOAT_SLACK:
             raise ConvergenceError(f"the marginal behind {rule.describe()} sums to {total}, not 1")
     else:
-        if rule.kind == "set":
-            values = np.array(rule.values)
+        if rule.kind == "below":
+            values, p2 = np.arange(thr), np.exp(_log_nb_running(mu, odds, thr))
         else:
-            values = np.arange(thr, thr + 1) if rule.kind == "exact" else np.arange(thr)
-        p2 = np.exp(_log_nb_arr(mu, m, values))
+            values = np.array(rule.values if rule.kind == "set" else [thr])
+            p2 = np.exp([_log_pmf(mu, odds, v) for v in values.tolist()])
         success = _mass_sum(p2)
     if success < 1e-300:
         raise ConditioningError(f"selection {rule.describe()} has vanishing probability")
@@ -377,23 +377,23 @@ def _selection(
 
 
 def _count_laws(params: ExperimentParams, t: int) -> tuple[tuple[float, float], ...]:
-    """(a, x) of Bin(t, eta) and of NB(t + mu, c), in ``_log_nb_running``'s
+    """(a, odds) of Bin(t, eta) and of NB(t + mu, c), in ``_log_nb_running``'s
     terms: the two laws whose convolution is P(s | t)."""
-    return (-float(t), -params.eta / (1.0 - params.eta)), (t + params.mu, _recurrence(params)[2])
+    return (-float(t), -params.eta), (t + params.mu, _recurrence(params)[3])
 
 
 def _count_support(params: ExperimentParams, t: int, tol: float, cap=math.inf, refuse="") -> int:
     """Count support (at least 4) of trigger t and of every mixture whose
     largest member is t: two quantiles at tol/8 (see the module docstring)."""
-    quantiles = (_law_tail(a, x, tol / 8.0, cap, refuse)[1] for a, x in _count_laws(params, t))
+    quantiles = (_law_tail(a, odds, tol / 8.0, cap, refuse)[1] for a, odds in _count_laws(params, t))
     return max(sum(quantiles), 4)
 
 
 def _count_law(params: ExperimentParams, t: int, size: int) -> np.ndarray:
     """P(s | t) for s < size: Bin(t, eta) convolved with NB(t + mu, c)."""
-    (a, x), nb = _count_laws(params, t)
+    (a, odds), nb = _count_laws(params, t)
     with np.errstate(under="ignore"):
-        binom = np.exp(_log_nb_running(a, x, min(t, size - 1) + 1))
+        binom = np.exp(_log_nb_running(a, odds, min(t, size - 1) + 1))
         return np.convolve(binom, np.exp(_log_nb_running(*nb, size)))[:size]
 
 
@@ -435,10 +435,14 @@ def cond_count_dist(
     """
     params.require_lossy()
     tol = _validate_tol(tol)
-    values, p2, success = _selection(params, rule, tol)
-    width = rule.threshold + 2 if rule.kind == "above" else int(values[-1]) + 1
-    # the sweep stores its diagonals by t: (s_max + width) * (width + 1) cells
+    last = rule.values[-1] if rule.kind == "set" else rule.threshold - (rule.kind == "below")
+    width = last + 1 + (rule.kind == "above")
+    # the sweep stores its diagonals by t: (s_max + width) * (width + 1) cells,
+    # s_max >= 4, so a wide rule is refused before its values are listed
     refuse = f"{rule.describe()} needs over {2 * _MAX_CELLS_DEFAULT} recurrence cells"
+    if (4 + width) * (width + 1) > 2 * _MAX_CELLS_DEFAULT:
+        raise TableSizeError(refuse)
+    values, p2, success = _selection(params, rule, tol)
     cap = 2 * _MAX_CELLS_DEFAULT // (width + 1) - width + 1
     s_max = _count_support(params, int(values[-1]), tol, cap, refuse)
     if (s_max + width) * (width + 1) > 2 * _MAX_CELLS_DEFAULT:

@@ -8,13 +8,19 @@ a = 1-eta, b = eta, r = nbar/(1 + nbar) with nbar = M/(eta*mu) the mean
 photon number per mode and M the mean counts per beam.  The single-beam
 marginal is the multithermal (negative-binomial) law
 
-    p2(t) = C(t+mu-1, t) * q**t * (1 - q)**mu,   q = M/(M + mu),
+    p2(t) = C(t+mu-1, t) * q**t * (1 - q)**mu,   q = M/(M + mu).
 
-a running sum of the O(1) log-ratios log((j+mu) q/(j+1)).  One function,
-``_log_nb_running``, forms that sum for NB(a, x) and Bin(n, eta);
-``_law_tail`` takes it long enough that geometric bounds pin the rest, and
-gives every support, cut and omitted mass; the incomplete beta functions of
-A&S 26.5.24/26.5.26 are never evaluated.
+Every count law here is p(k) = p(0) prod_{j<k} (j+a) x/(j+1), given by a
+and the odds x/(1-x): NB(a, x) with odds M/mu (the marginal), rr/(1-rr) (a
+state) or c/(1-c) (the recurrence below), and Bin(n, eta) with a = -n and
+odds -eta.  x, log|x| and log(1-x) come from the odds (``_law``), never from
+a rounded x.  ``_log_pmf`` is the one point formula, Loader's saddle-point
+form (C. Loader, "Fast and Accurate Computation of Binomial
+Probabilities", 2000), O(1) at any count.  ``_log_nb_running`` is the one
+running sum, of steps log1p((a-1)/(k+1)) + log x, anchored at the mode
+where that is large, so that no sum climbs from a far p(0); ``_law_tail``
+takes it long enough that geometric bounds pin the rest, and gives every
+support, cut and omitted mass (A&S 26.5.24/26.5.26 are never evaluated).
 ``joint_table`` needs no series: the identity (1 - r(a + bu)(a + bv)) dG/du =
 mu r b (a + bv) G gives, with m = M/mu and D = 1 + m(2-eta), for the
 conditional law R(s, t) = p(s, t)/p2(s) = P(t | s)
@@ -251,12 +257,14 @@ def joint_prob(params: ExperimentParams, s: int, t: int) -> float:
     ]))
 
 
-def _recurrence(params: ExperimentParams) -> tuple[float, float, float]:
+def _recurrence(params: ExperimentParams) -> tuple[float, float, float, float]:
     """(alpha, beta, c) of the module docstring's recurrence, m = M/mu and
-    D = 1 + m(2-eta); NB(mu, c) is its first row and P(s | 0)."""
+    D = 1 + m(2-eta), and the odds c/(1-c) = m(1-eta)/(1+m) of NB(mu, c),
+    its first row and P(s | 0)."""
     eta, m = params.eta, params.mean_counts / params.mu
     den = 1.0 + m * (2.0 - eta)
-    return (1.0 - eta) * (1.0 + m) / den, eta * (1.0 + m) / den, m * (1.0 - eta) / den
+    return ((1.0 - eta) * (1.0 + m) / den, eta * (1.0 + m) / den, m * (1.0 - eta) / den,
+            m * (1.0 - eta) / (1.0 + m))
 
 
 def _conditional_law(params: ExperimentParams, rows: int, cols: int, tail: bool = False):
@@ -271,13 +279,13 @@ def _conditional_law(params: ExperimentParams, rows: int, cols: int, tail: bool 
     they are stored by t with a zero pad for t = -1.
     """
     mu = params.mu
-    alpha, beta, c = _recurrence(params)
+    alpha, beta, c, odds = _recurrence(params)
     if tail:
-        head, _, rest = _law_tail(mu, c, 1.0, size=cols)
+        head, _, rest = _law_tail(mu, odds, 1.0, size=cols)
         first_row, first_col = rest + np.cumsum(np.exp(head)[::-1])[::-1], np.ones(rows)
     else:
-        first_row = np.exp(_log_nb_running(mu, c, cols))
-        first_col = np.exp(mu * math.log1p(-c) + np.arange(rows) * math.log(alpha))
+        first_row = np.exp(_log_nb_running(mu, odds, cols))
+        first_col = np.exp(np.arange(rows) * math.log(alpha) - mu * math.log1p(odds))
     n = rows + cols - 1
     # row n stays zero: it is the d = -1 diagonal read by the first update
     diag = np.zeros((n + 1, cols + 1))
@@ -317,8 +325,7 @@ def joint_table(params: ExperimentParams, tol: float = 1e-12) -> JointDistributi
     tol = _validate_tol(tol)
     mu, side = params.mu, math.isqrt(_MAX_CELLS_DEFAULT)
     refuse = f"table needs over {side}**2 cells for tol={tol}, the budget of {_MAX_CELLS_DEFAULT}"
-    q, start = _marginal_nb(mu, params.mean_counts)
-    head = _law_tail(mu, q, tol / 4, side, refuse, start=start)[0]
+    head = _law_tail(mu, params.mean_counts / mu, tol / 4, side, refuse)[0]
     return _assembled(JointDistribution, _joint_square(params, np.exp(head)), params=params, tol=tol)
 
 
@@ -327,73 +334,104 @@ def joint_table(params: ExperimentParams, tol: float = 1e-12) -> JointDistributi
 # ---------------------------------------------------------------------------
 
 
-def _log_ratios(a: float, x: float, lo: int, hi: int) -> np.ndarray:
-    """log p(k+1)/p(k) = log((k + a) x / (k + 1)) for k = lo..hi-1."""
-    return np.log((np.arange(lo, hi) + a) * x / np.arange(lo + 1.0, hi + 1.0))
+_ANCHOR = 32  # a running sum starts at p(0) up to this mode, at the mode beyond it
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _log_nb_running(a: float, x: float, n: int, start: float | None = None) -> np.ndarray:
-    """Log pmf at k = 0..n-1 of p(k) = p(0) prod_{j<k} (j+a) x/(j+1): NB(a, x)
-    for a >= 1 (x = 0: the point mass at 0), Bin(n, eta) for a = -n and
-    x = -eta/(1-eta).  An NB caller passes the exact log p(0) as ``start``
-    where x is a rounded ratio; the default is a*log(1 - x).
+def _law(odds: float) -> tuple[float, float, float]:
+    """x = odds/(1 + odds), log|x| and log(1 - x) = -log1p(odds) of the law of
+    ``_log_nb_running``, none formed from a rounded x.  Beyond odds = 1, log x
+    is -log1p(1/odds): log(odds) - log1p(odds) cancels there."""
+    log_1mx = -math.log1p(odds)
+    if odds > 1.0:
+        return odds / (1.0 + odds), -math.log1p(1.0 / odds), log_1mx
+    return odds / (1.0 + odds), math.log(abs(odds)) + log_1mx if odds else -math.inf, log_1mx
 
-    The one running sum of the O(1) log-ratios in the package.  Unlike
-    log-gamma differences at large a, it loses no digits to cancellation.
-    """
-    if x == 0.0:
+
+def _stirlerr(n: float) -> float:
+    """log n! - log(sqrt(2 pi n) (n/e)**n): Stirling's series beyond 15."""
+    if n <= 15.0:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(k: float, e: float) -> float:
+    """The deviance k log(k/e) + e - k, as a series in v = (k-e)/(k+e) near k = e."""
+    if abs(k - e) >= 0.1 * (k + e):
+        return k * math.log(k / e) + e - k
+    v = (k - e) / (k + e)
+    total, term, i, last = (k - e) * v, 2.0 * k * v, 1, None
+    while total != last:
+        term, i = term * v * v, i + 2
+        last, total = total, total + term / i
+    return total
+
+
+def _log_pmf(a: float, odds: float, j: int) -> float:
+    """Log pmf at j of the law of ``_log_nb_running``, O(1) at any j, in
+    Loader's saddle-point form: the Stirling remainders and the deviances
+    bd0 of both counts, none of which cancels.  NB(a, x) puts a counts at
+    p = 1/(1 + odds) and j at q = odds*p (not 1 - p, which is 0 where the
+    odds are subnormal); Bin(n, eta) puts n - j at 1 + odds and j at -odds."""
+    if j == 0:
+        return a * _law(odds)[2]
+    n, k = (a + j, a) if a > 0 else (-a, -a - j)
+    if k <= 0 or odds == 0.0:  # the binomial's last count or beyond, or the point mass
+        return j * math.log(-odds) if k == 0 else -math.inf
+    p = 1.0 / (1.0 + odds) if a > 0 else 1.0 + odds
+    q, lead = (odds * p, -math.log1p(j / a)) if a > 0 else (-odds, 0.0)
+    return (lead + _stirlerr(n) - _stirlerr(k) - _stirlerr(j) - _bd0(k, n * p) - _bd0(j, n * q)
+            - _HALF_LOG_2PI - 0.5 * math.log(k * j / n))
+
+
+def _log_nb_running(a: float, odds: float, n: int) -> np.ndarray:
+    """Log pmf at k = 0..n-1 of the law (a, odds) of the module docstring:
+    the steps log1p((a-1)/(k+1)) + log x (log((n-k)/(k+1)) + log|x| for
+    Bin(n, eta)) summed from the exact p(0), or where the mode exceeds
+    _ANCHOR outward from ``_log_pmf`` at the mode (at n - 1 short of it).
+    Odds 0 give the point mass at 0."""
+    if odds == 0.0:
         return np.where(np.arange(n) == 0, 0.0, -np.inf)
-    start = a * math.log1p(-x) if start is None else start
-    return _exact_cumsum(_log_ratios(a, x, 0, n - 1) + _step_shift(a, x, start), start)
+    steps = np.arange(1.0, n)  # k + 1, replaced by the steps so that it is not kept
+    steps = np.log1p((a - 1.0) / steps) if a > 0 else np.log((1.0 - a - steps) / steps)
+    steps += _law(odds)[1]
+    mode = max((a - 1.0) * odds, 0.0)
+    at = min(int(mode), n - 1) if mode > _ANCHOR else 0
+    return _exact_cumsum(steps, _log_pmf(a, odds, at), at)
 
 
-def _exact_cumsum(steps: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """``start`` followed by ``start`` plus the running sums of ``steps``.
+def _exact_cumsum(steps: np.ndarray, start: float = 0.0, at: int = 0) -> np.ndarray:
+    """Running sums of ``steps`` that read ``start`` at index ``at``:
+    out[i] - out[at] is the sum of steps[at:i] (minus that of steps[i:at]).
 
     Rounding does not accumulate along the sum: each step splits into a
-    multiple of 2**-32, whose sums are exact below 2**53 units, and a
-    remainder under 2**-33 summed in order, so a longer sum begins with
-    a shorter one bit for bit.  The sums are taken in place (3e7 steps near
-    the level budget of a state).
+    multiple of 2**-32, whose sums are exact below 2**53 units (and so is
+    their shift to ``at``), and a remainder under 2**-33 summed in order, so
+    a longer sum through the same ``at`` begins with a shorter one bit for
+    bit.  The sums are taken in place (3e7 steps near a state's level budget).
     """
-    out = np.empty(steps.size + 1)
-    out[0] = start
-    coarse = steps * 2.0**32
+    coarse = np.concatenate(([0.0], steps))
+    coarse *= 2.0**32
     np.rint(coarse, out=coarse)
     fine = coarse * -(2.0**-32)
-    fine += steps
-    body = out[1:]
-    np.multiply(coarse.cumsum(out=coarse), 2.0**-32, out=body)
-    body += fine.cumsum(out=fine)
-    body += start
-    return out
+    fine[1:] += steps
+    coarse.cumsum(out=coarse)
+    fine.cumsum(out=fine)
+    coarse -= coarse[at]
+    fine -= fine[at]
+    coarse *= 2.0**-32
+    coarse += fine
+    coarse += start
+    return coarse
 
 
 _LOG_PIN = 60.0 * math.log(2.0)  # the rest is pinned to 2**-60 of the cut
 
 
-def _step_shift(a: float, x: float, start: float) -> float:
-    """log(q/x) for NB(a, q) with exact log p(0) = ``start`` and q rounded to x.
-    Added to each log-ratio step from x, it keeps the running sum on the law
-    that ``start`` begins (a start alone gives 1e-11 too much mass at
-    M/mu = 1e5).  0 where a*log1p(-x) is ``start``, and at x = 1."""
-    if not 0.0 < x < 1.0:
-        return 0.0
-    return math.log1p(-math.expm1((start - a * math.log1p(-x)) / a) * (1.0 - x) / x)
-
-
-def _log_pmf(a: float, x: float, j: int) -> float:
-    """Log pmf at j of the law of ``_log_nb_running`` (x != 0) in the
-    log-gamma form: O(1) at any j, for first guesses and budgets."""
-    gamma = (math.lgamma(j + a) - math.lgamma(a) if a > 0
-             else math.lgamma(1 - a) - math.lgamma(1 - a - j))
-    return a * math.log1p(-x) + j * math.log(abs(x)) + gamma - math.lgamma(j + 1.0)
-
-
-def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", size: int = 1,
-              start: float | None = None):
+def _law_tail(a: float, odds: float, tol: float, cap=math.inf, refuse: str = "", size: int = 1):
     """Head and upper tail of the law of ``_log_nb_running`` with the same
-    a, x and ``start``.  The cut is tol * P(X >= size - 1).
+    a and odds.  The cut is tol * P(X >= size - 1).
 
     The head, the log pmf from ``_log_nb_running``, is recomputed at the new
     length until the rest R beyond its last term N is below the cut: the
@@ -407,14 +445,15 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
     the terms at and past cap alone outweigh tol or the pmf still rises at
     cap.
     """
-    if cap < size or x >= 1.0:  # x = 1: M/mu beyond 2**53, no finite support
+    x, log_x = _law(odds)[:2]
+    if cap < size or x >= 1.0:  # x = 1: odds beyond 2**53, no finite support
         raise TableSizeError(refuse)
     if x == 0.0:
         return np.append(0.0, np.full(size - 1, -np.inf)), size - 1, 0.0
     end, x0, log_cut = (int(1 - a) if a <= 0 else math.inf), max(x, 0.0), math.log(tol)
-    mean, decay = a * x / (1.0 - x), (-1.0 / math.log(x) if x > 0.0 else 0.0)
+    mean, decay = a * odds, (-1.0 / log_x if x > 0.0 else 0.0)
     if size > 1:  # below the cut: P(X >= size - 1) >= p(j)/(1-x0), j = max(size - 1, mean)
-        log_cut += min(_log_pmf(a, x, max(size - 1, int(mean))) - math.log1p(-x0), 0.0)
+        log_cut += min(_log_pmf(a, odds, max(size - 1, int(mean))) - math.log1p(-x0), 0.0)
 
     def guess(nats):  # where p falls below e**-nats: a gamma-like bulk, then its decay
         return int(mean + math.sqrt(2.0 * nats * mean / (1.0 - x)) + 2.0 / 3.0 * nats * decay) + 2
@@ -423,11 +462,11 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
     n = min(max(n + n // 16 + 16 if n < 4096 else guess(-log_cut), size + 1), end)
     if n > cap:
         rising = tol < 0.5 and (cap + a) * x >= cap + 1.0  # then P(X >= cap) >= 1/2
-        if rising or _log_pmf(a, x, cap) - math.log1p(-x0) > math.log(tol):
+        if rising or _log_pmf(a, odds, cap) - math.log1p(-x0) > math.log(tol):
             raise TableSizeError(refuse)
         n = cap
     while True:
-        head = _log_nb_running(a, x, n, start)
+        head = _log_nb_running(a, odds, n)
         rho, miss = (n - 1 + a) * x / n, 0.0
         if n >= end:  # the binomial's last term: rho = 0
             break
@@ -463,41 +502,15 @@ def _law_tail(a: float, x: float, tol: float, cap=math.inf, refuse: str = "", si
         hi, acc, block = lo + 1, float(tails[-1]), 4 * block
 
 
-def _marginal_nb(mu: float, m: float) -> tuple[float, float]:
-    """The marginal's law NB(mu, q): q = m/(m + mu) and its exact log p(0),
-    -mu*log1p(m/mu), from the unrounded q."""
-    return m / (m + mu), -mu * math.log1p(m / mu)
-
-
-def _log_nb_arr(mu: float, m: float, t) -> np.ndarray:
-    """Log multithermal pmf for mode count mu and mean m, vectorised in t:
-    NB(mu, m/(m + mu)) as a running sum up to the largest t.  A few counts
-    beyond _MAX_CELLS_DEFAULT, where that sum would take far more terms than
-    there are counts, use the gamma-function form."""
-    t = np.asarray(t, dtype=float)
-    if m == 0.0:
-        return np.where(t == 0.0, 0.0, -np.inf)
-    top = float(t.max())
-    if top > max(_MAX_CELLS_DEFAULT, 64 * t.size):
-        lgamma = np.frompyfunc(math.lgamma, 1, 1)
-        return (
-            np.asarray(lgamma(t + mu) - lgamma(t + 1.0), dtype=float) - math.lgamma(mu)
-            + t * (math.log(m) - math.log(mu))
-            - (t + mu) * math.log1p(m / mu)
-        )
-    q, start = _marginal_nb(mu, m)
-    return _log_nb_running(mu, q, int(top) + 1, start)[t.astype(np.intp)]
-
-
 def _marginal_probs(params: ExperimentParams, n: int) -> np.ndarray:
-    """p2(t) for t < n."""
-    return np.exp(_log_nb_arr(params.mu, params.mean_counts, np.arange(n)))
+    """p2(t) for t < n: NB(mu, x) with odds M/mu."""
+    return np.exp(_log_nb_running(params.mu, params.mean_counts / params.mu, n))
 
 
 def log_marginal(params: ExperimentParams, t: int) -> float:
     """Natural log of the closed-form single-beam count probability."""
     t = _validate_count(t, "t")
-    return float(_log_nb_arr(params.mu, params.mean_counts, t))
+    return _log_pmf(params.mu, params.mean_counts / params.mu, t)
 
 
 def marginal(params: ExperimentParams, t: int) -> float:
@@ -511,8 +524,7 @@ def marginal_dist(params: ExperimentParams, tol: float = 1e-12) -> PhotoCountDis
     Refuses a support of more than _MAX_CELLS_DEFAULT counts."""
     tol = _validate_tol(tol)
     refuse = f"marginal needs over {_MAX_CELLS_DEFAULT} counts, the budget"
-    q, start = _marginal_nb(params.mu, params.mean_counts)
-    head = _law_tail(params.mu, q, tol, _MAX_CELLS_DEFAULT, refuse, start=start)[0]
+    head = _law_tail(params.mu, params.mean_counts / params.mu, tol, _MAX_CELLS_DEFAULT, refuse)[0]
     return _assembled(PhotoCountDistribution, np.exp(head), tol=tol)
 
 

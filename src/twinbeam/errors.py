@@ -21,9 +21,9 @@ class ConvergenceError(TwinbeamError):
     with its tail, misses 1.  The joint-table, marginal and conditional
     count-law kernels, ``joint_prob`` and the measurement route behind
     ``verify=True`` do not raise it on the validated domain (mu >= 1,
-    0 < eta < 1, M >= 0).  Work that cannot finish within a budget is
-    refused up front with TableSizeError.  It always replaces a result,
-    never accompanies a wrong one.
+    0 < eta < 1, M >= 0; tested with mu and M up to 1e6).  Work that
+    cannot finish within a budget is refused up front with TableSizeError.
+    It always replaces a result, never accompanies a wrong one.
     """
 
 

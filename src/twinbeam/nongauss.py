@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import ConditionalState, SelectionRule, _ratio, build_conditional
-from .core import _exact_cumsum, _validate_tol
+from .conditional import ConditionalState, SelectionRule, _log_degeneracy, _ratio, build_conditional
+from .core import _exact_cumsum, _law, _validate_tol
 from .errors import InfeasibleConstraintError, ParameterError, TailBoundError
 from .params import ExperimentParams
 
@@ -101,18 +101,22 @@ def thermal_entropy(nbar: float, mu: float = 1.0) -> float:
     return float(mu) * single
 
 
+def _nbar(state: ConditionalState) -> tuple[float, float, float]:
+    """(nbar, odds, d): the mean photons per mode M_t/(eta*mu) as the positive
+    sum odds + d, odds = rr/(1-rr) and d = t*(1+odds)/mu."""
+    odds = _ratio(state.params)
+    d = state.t * (1.0 + odds) / state.params.mu
+    return odds + d, odds, d
+
+
 def _log_ratio(state: ConditionalState) -> tuple[np.ndarray, float]:
     """l(gamma) = ln[P(gamma)/Q(gamma)] over the state's levels, and its
-    constant step c.  With odds = rr/(1-rr) and d = nbar - odds =
-    t*(1+odds)/mu, l(t) = (t+mu)*log1p(t/mu) - t*ln(nbar) - ln C(t+mu-1, t)
+    constant step c.  l(t) = (t+mu)*log1p(t/mu) - t*ln(nbar) - ln C(t+mu-1, t)
     and each level adds c + log1p(t/(gamma+1-t)), c = log1p(-d/(nbar*(1+odds))):
     no term is a difference of near-equal numbers."""
     t, mu = state.t, state.params.mu
-    odds = _ratio(state.params)[1]
-    d = t * (1.0 + odds) / mu
-    nbar = odds + d
-    log_binom = math.fsum(np.log1p((mu - 1.0) / np.arange(1.0, t + 1)).tolist())
-    l_t = (t + mu) * math.log1p(t / mu) - t * math.log(nbar) - log_binom
+    nbar, odds, d = _nbar(state)
+    l_t = (t + mu) * math.log1p(t / mu) - t * math.log(nbar) - float(_log_degeneracy(mu, t + 1)[-1])
     c = math.log1p(-d / (nbar * (1.0 + odds)))
     steps = np.log1p(t / np.arange(1.0, state.log_levels.size))
     steps += c
@@ -133,8 +137,7 @@ def _entropy_gap(state: ConditionalState) -> tuple[float, float]:
             RuntimeWarning,
             stacklevel=3,
         )
-    params = state.params
-    s_ref = thermal_entropy(state.M_t / (params.eta * params.mu), params.mu)
+    s_ref = thermal_entropy(_nbar(state)[0], state.params.mu)
     if state.t == 0:  # the state is thermal: l = 0
         return 0.0, s_ref
     log_ratio = _log_ratio(state)[0]  # before P: the running sum's work arrays and P never coexist
@@ -151,7 +154,7 @@ def entropy_tail_bound(state: ConditionalState) -> float:
     if state.tail_bound == 0.0 or state.t == 0:
         return 0.0
     t, gamma_end = state.t, float(state.gammas[-1])
-    r = _ratio(state.params)[0] * (gamma_end + state.params.mu) / (gamma_end + 1.0 - t)
+    r = _law(_ratio(state.params))[0] * (gamma_end + state.params.mu) / (gamma_end + 1.0 - t)
     if r >= 1.0:
         return math.inf
     log_ratio, c = _log_ratio(state)
@@ -178,7 +181,7 @@ def nongauss_report(
     return NonGaussReport(
         t=t, params=params, S_state=s_ref - delta, S_ref=s_ref, delta=delta,
         delta_R=delta / s_ref if s_ref > 0.0 else 0.0,
-        nbar_per_mode=state.M_t / (params.eta * params.mu),
+        nbar_per_mode=_nbar(state)[0],
     )
 
 

@@ -1,6 +1,9 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +29,59 @@ domain_st = st.builds(
     eta=_log_uniform(1e-9, 0.999),
     mean_counts=_log_uniform(1e-3, 1e3),
 )
+
+
+# pi to 40 digits (the Decimal recipe of the ``decimal`` module documentation)
+_PI = Decimal("3.141592653589793238462643383279502884197")
+# B_2, B_4, .., B_40 from B_m = -sum_{k<m} C(m+1, k) B_k / (m+1), B_0 = 1
+_BERNOULLI = [Fraction(1)]
+for _m in range(1, 41):
+    _BERNOULLI.append(-sum(math.comb(_m + 1, k) * b for k, b in enumerate(_BERNOULLI)) / (_m + 1))
+
+
+def decimal_log_gamma(z: Decimal) -> Decimal:
+    """ln Gamma(z), z > 0, to 40 digits: Stirling's series with 20 Bernoulli
+    terms at z + n >= 40 (its remainder is below 1e-41 there), less
+    ln z(z+1)..(z+n-1)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        z, shift = Decimal(z), Decimal(1)
+        while z < 40:
+            shift, z = shift * z, z + 1
+        total = (z - Decimal("0.5")) * z.ln() - z + (2 * _PI).ln() / 2 - shift.ln()
+        for k in range(1, 21):
+            b = _BERNOULLI[2 * k]
+            total += Decimal(b.numerator) / (Decimal(b.denominator) * 2 * k * (2 * k - 1) * z ** (2 * k - 1))
+        ctx.prec = 40
+        return +total
+
+
+def decimal_log_nb(a, odds: Decimal, j: int) -> Decimal:
+    """ln of NB(a, x) at j, x = odds/(1 + odds), to 40 digits, for a double
+    (or Decimal) a and a Decimal odds."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(a)
+        out = (decimal_log_gamma(a + j) - decimal_log_gamma(a) - decimal_log_gamma(Decimal(j + 1))
+               - a * (1 + odds).ln() + (j * (odds / (1 + odds)).ln() if j else 0))
+        ctx.prec = 40
+        return +out
+
+
+def marginal_odds(params: ExperimentParams) -> Decimal:
+    """M/mu of the doubles, in 40 digits: the odds of the single-beam law."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return Decimal(params.mean_counts) / Decimal(params.mu)
+
+
+def state_odds(params: ExperimentParams) -> Decimal:
+    """M(1-eta)/(eta(mu + M)) of the doubles, in 40 digits: the odds of the
+    photon law NB(t + mu, rr) of an exact-t state."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        mu, eta, m = (Decimal(v) for v in (params.mu, params.eta, params.mean_counts))
+        return m * (1 - eta) / (eta * (mu + m))
 
 
 @pytest.fixture(scope="session")

@@ -159,7 +159,9 @@ def test_nongauss_refuses_a_csv_request(tmp_path, monkeypatch, capsys):
 def test_nongauss_stdout_stays_json(capsys):
     import twinbeam.cli as cli
 
-    # SHA-256 of the JSON report; CSV requests are refused
+    # SHA-256 of the JSON report; CSV requests are refused.  nbar_per_mode
+    # is odds + t(1+odds)/mu, the formula of the entropy gap (1.6666666666666665,
+    # one ulp from M_t/(eta*mu))
     argv = ["nongauss", "--mu", "1", "--eta", "0.5", "--mean", "0.5", "--t", "1",
             "--tol", "1e-6"]
     for extra in ([], ["--format", "json"]):
@@ -168,7 +170,7 @@ def test_nongauss_stdout_stays_json(capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main([*argv, *extra]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "3bc53be76915d18a9be1b5027571cef9354f1e489050959cd2e2f6c6743055c3")
+            "8e9f83f71678500b80f2491616e243c156764f541963a44f50a2c746ea1657b4")
 
 
 def test_state_out_refuses_a_csv_path(tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from twinbeam import (
     sample_run,
 )
 from twinbeam import estimation
-from twinbeam.core import _log_nb_arr
+from twinbeam.core import _log_pmf
 
 from conftest import bootstrap_errors, cell_tally
 
@@ -238,7 +238,7 @@ def _nelder_mead_refine(counts: np.ndarray, mu0: float, m0: float):
     def nll(mu: float, m: float) -> float:
         if mu < 1.0 or m <= 0.0:
             return math.inf
-        return -float(w @ _log_nb_arr(mu, m, values))
+        return -float(w @ np.array([_log_pmf(mu, m / mu, v) for v in values.tolist()]))
 
     x0 = np.array([min(max(mu0, 1.0), 1e6), max(m0, 1e-9)])
     res = optimize.minimize(

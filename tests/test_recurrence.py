@@ -31,7 +31,7 @@ from twinbeam import (
 
 from twinbeam.core import _MAX_CELLS_DEFAULT as _MAX_CELLS
 
-from conftest import PARAMS_A, PARAMS_B, domain_st
+from conftest import PARAMS_A, PARAMS_B, _log_uniform, decimal_log_nb, marginal_odds
 
 _WALL_BUDGET = 2.0
 
@@ -89,11 +89,42 @@ rule_st = st.one_of(
 
 _SUBNORMAL = ExperimentParams(1.0, 0.5, 5e-324)  # the recurrence ratio c underflows to 0
 
+# mu and M up to 1e6 at eta = 0.5: the running sum drifted here, and the
+# marginal or the above(M) mixture raised ConvergenceError at 14 of 60 calls
+_LARGE_GRID = [ExperimentParams(mu, 0.5, m) for mu in (1e3, 1e4, 3e4, 1e5, 3e5, 1e6)
+               for m in (1e2, 1e3, 1e4, 1e5, 1e6)]
 
-@given(params=domain_st, rule=rule_st)
+# the validated domain with M up to 1e6, where the supports are longest
+wide_domain_st = st.builds(
+    ExperimentParams,
+    mu=_log_uniform(1.0, 1e6),
+    eta=_log_uniform(1e-9, 0.999),
+    mean_counts=_log_uniform(1e-3, 1e6),
+)
+
+
+def _with_grid_examples(test):
+    for params in _LARGE_GRID:
+        test = example(params=params, rule=SelectionRule.above(int(params.mean_counts)))(test)
+    return test
+
+
+def _check_marginal_cells(params, dist) -> None:
+    """64 cells of the marginal, the mode among them, within 1e-10 of the
+    40-digit law (a decimal running sum over a 1e6-count support is too
+    slow)."""
+    cells = np.linspace(0, len(dist) - 1, min(len(dist), 63)).astype(int)
+    cells = np.append(cells, int(np.argmax(dist.probs)))
+    odds = marginal_odds(params)
+    ref = [math.exp(decimal_log_nb(params.mu, odds, j)) for j in cells.tolist()]
+    assert np.abs(dist.probs[cells] - ref).max() <= 1e-10
+
+
+@given(params=wide_domain_st, rule=rule_st)
 @example(params=_SUBNORMAL, rule=SelectionRule.above(-1))
 @example(params=_SUBNORMAL, rule=SelectionRule.below(3))
 @example(params=_SUBNORMAL, rule=SelectionRule.from_set([0, 2]))
+@_with_grid_examples
 @settings(max_examples=40, deadline=None)
 def test_whole_domain_returns_valid_results_or_refuses_quickly(params, rule):
     table = _timed(lambda: joint_table(params))
@@ -102,11 +133,39 @@ def test_whole_domain_returns_valid_results_or_refuses_quickly(params, rule):
     dist = _timed(lambda: marginal_dist(params))
     if dist is not None:
         _check_mass(dist)
-        assert np.abs(dist.probs - _nb_pmf(params, len(dist))).max() <= 1e-10
+        _check_marginal_cells(params, dist)
     dist = _timed(lambda: cond_count_dist(params, rule, verify=True))
     if dist is not None:
         _check_mass(dist)
         _check_mean(params, rule, dist)
+
+
+@pytest.mark.parametrize("params", _LARGE_GRID, ids=lambda p: f"{p.mu:g}-{p.mean_counts:g}")
+def test_large_mu_and_mean_are_never_refused(params):
+    # the running sum climbed 1e5-7e5 nats from p(0); it now runs outward
+    # from the mode
+    dist = _timed(lambda: marginal_dist(params))
+    assert dist is not None
+    _check_mass(dist)
+    mixture = _timed(lambda: build_conditional(params, SelectionRule.above(int(params.mean_counts))))
+    assert mixture is not None and 0.0 < mixture.success_prob < 1.0
+    assert mixture.mean_counts() > params.mean_counts
+
+
+@pytest.mark.parametrize("point,t", [((5e5, 0.5, 2.14e5), 214_000), ((1e6, 0.5, 1e6), 1_000_000)])
+def test_large_mu_marginal_matches_decimal_values(point, t):
+    # a running sum from p(0) assembled masses of 1.0000000000020 and
+    # 1.0000000000159 here (ConvergenceError).  Far in the tail the law of
+    # the rounded odds M/mu itself moves by about 1e-16 per count from the
+    # mean, so the last count is held to 1e-12.
+    params = ExperimentParams(*point)
+    dist = marginal_dist(params)
+    _check_mass(dist)
+    odds = marginal_odds(params)
+    for j, tol in ((t, 1e-14), (len(dist) - 1, 1e-12)):
+        ref = decimal_log_nb(params.mu, odds, j)
+        assert abs(math.log(dist.probs[j]) - float(ref)) <= tol, j
+        assert abs(log_marginal(params, j) - float(ref)) <= tol, j
 
 
 def _check_mean(params, rule, dist) -> None:
@@ -240,8 +299,8 @@ def test_wide_strips_are_refused_before_allocating():
         assert time.perf_counter() - start < 0.1
 
 
-def test_huge_counts_take_the_gamma_form():
-    # a running sum to 1e9 would allocate gigabytes
+def test_huge_counts_take_the_point_formula():
+    # a running sum to 1e9 would allocate gigabytes; Loader's form is O(1)
     start = time.perf_counter()
     value = log_marginal(PARAMS_A, 10**9)
     assert time.perf_counter() - start < 0.1

@@ -144,7 +144,12 @@ def test_output_dir_env(tmp_path, monkeypatch):
 # tail_bound 3.04e-5 (was 4.93e-6, within tol = 1e-3).  The sweep pins
 # hold delta as the relative entropy of the photon-total laws: delta is
 # within 1.3e-15 of a 40-digit sum (it moved by up to 7.8e-15) and S_ref
-# within 6e-15 (S_state = S_ref - delta).
+# within 6e-15 (S_state = S_ref - delta).  The joint, marginal, conditional
+# and sweep pins (and fig2a) moved once more when every count law became
+# (a, odds), with Loader's point formula and a running sum anchored at the
+# mode: at most 4.7e-14 relative in any cell or entropy (1.1e-14 in fig2a),
+# every length kept; the conditional tail_bound, 1 minus the mass, moved by
+# 3.3e-16.
 _SMALL = ["--mu", "1", "--eta", "0.5", "--mean", "0.5"]
 _GOLDEN_ARGV = {
     "joint": ["joint", *_SMALL, "--tol", "1e-2"],
@@ -155,16 +160,16 @@ _GOLDEN_ARGV = {
               "--mu", "25", "--tol", "1e-10"],
 }
 _GOLDEN_SHA256 = {
-    ("joint", "csv"): "86aa2218b2a7876af4e51c238c1c5a7b822965bf81bfbc2035a6124f248e43f9",
-    ("joint", "json"): "453baebfd18811561ca7dfa6676f2e21ef1bfff3fba3c5e076ce04ca581e0a2a",
-    ("marginal", "csv"): "5cd680a786672a100685220217c54048c0f3a4ccd35158a57e21639353c8b8d1",
-    ("marginal", "json"): "a9ad29ede1d0dd36c6431fbf65d84f1507fd25533ca69155553913a037e40125",
-    ("conditional", "csv"): "fb39fab95d078cbba82f735c357a7b43171d574b56c99f9991e4a28b0b13cb20",
-    ("conditional", "json"): "6543d776f0de483a86db153f0f7eaa570ec56b98316a099fb18a960ce2246b35",
+    ("joint", "csv"): "779ac6f2bf519d5ca302a69920f374639a56b3ff964167e7685b22aac457ad7a",
+    ("joint", "json"): "3dce297409a1eb25393825bfca5c8a645c4c4ef05f6fcfc067ab36a6ae1dd67c",
+    ("marginal", "csv"): "c8095e82a5adad61ad2ac016aa1c1937b6217e9869e8a9a09c0ede2f00ef0efa",
+    ("marginal", "json"): "dc4a2825f51fa3ab06a728b21978037869edc066ba92409a311e8e98c1fb9bc5",
+    ("conditional", "csv"): "d95f0ebecb5925e3289c29ef608ce93a9c07bec17d326bf92d6186d1270f63cd",
+    ("conditional", "json"): "611081eb77085d16b814eb993c2f4184ab3cfe2bb71b9fd4af8b3e59ac4ffaa4",
     ("sample", "csv"): "5792b46ae258dfaa29f52bbdf9c4ac7fb13c330f23ee3c02847ca4d6e744f087",
     ("sample", "json"): "4a004e0b13b68bc9feb8b02b9591ea1b66c701f6fcf547cd692a1f2d0a57a76a",
-    ("sweep", "csv"): "0661fb74961372e8bfec5afc8a93c0df658326f010c33bdcb79a3483190ddffc",
-    ("sweep", "json"): "e3b341d4798133f55b7d0c46d21c392734de663aabd188ba4d9f404f3cd5d3c4",
+    ("sweep", "csv"): "998e3bc63f6251734ad5bc456a46fffd7e41f4007d4b070a89f4376ed5e756df",
+    ("sweep", "json"): "12f7520d84735cf68970a812ce7aa98c8e527ea60e7ec202bb849cc19f3bddca",
 }
 
 
@@ -185,7 +190,7 @@ def test_reproduce_bytes_are_pinned(tmp_path):
         assert cli.main(["reproduce", "fig2a", "--outdir", str(tmp_path), "--tol", "1e-6"]) == 0
     got = {p.name: _sha256(p.read_text()) for p in (tmp_path / "fig2a").iterdir()}
     assert got == {
-        "joint.csv": "70c88859abe0ff628258d24be878468ba7889cf40ce24166bbae9ef3740b08fe",
+        "joint.csv": "9faf29139ede5e26e76011f4bc6c6f0b34902a4ab259499e4fcdfc7e28fafabb",
         "manifest.json": "3517955b5ea20dbd92f20e5adbb15711e93ccb37f83eab2f53fe4e31426c6d68",
     }
 
@@ -193,51 +198,54 @@ def test_reproduce_bytes_are_pinned(tmp_path):
 # SHA-256 of every file of the five bundles at the default seed and tol.  The
 # sampled files (shots.csv, means_synthetic.csv and the *_synthetic.csv of
 # fig3 and fig5) follow the sampler's per-version stream: a change of the
-# sampler re-pins them and says so.
+# sampler re-pins them and says so.  The 22 computed files moved once when
+# every count law became (a, odds) with a mode-anchored running sum: same
+# lengths, at most 3.2e-14 relative in any cell; the sampled files and the
+# manifests kept their bytes.
 _BUNDLE_SHA256 = {
-    "fig2a/joint.csv": "82e31cd5ce633ea5630e3c9f2ade331f5944c58b3c67260fb8a3cae3e1ff2c2f",
+    "fig2a/joint.csv": "7ccfd65cf1e5586e5f3b360a6f27695a6f4b0326f27e2a11c0678ac44c1c9057",
     "fig2a/manifest.json": "e0af4f056fdd82babdb3ad365b4109aaeb23c80c1046135e4e3c88077e45f9bb",
-    "fig2b/joint.csv": "71a7ef07ebd66ab7db4c841a67e13aa310b8334f7f2cfb0cf1bf7ed1a0ed7753",
+    "fig2b/joint.csv": "99dcb599b3b4a84e5128c7fa9e43f9a47181fc1c3fefb68f6e32dfdd37d7b746",
     "fig2b/manifest.json": "e93f7d7d6e53f18a3da3cd42b3f4564ab498a1a38844a2351ed9c045fcaa1643",
     "fig3/above_11_synthetic.csv": "ff74fdd71d19a1d1b00313c2c6312b097561692a3c6329f1ac0fbcf9c69e15a6",
-    "fig3/above_11_theory.csv": "08adcff062e420c0554f2b9827975cf71616d199bcb7d7f0d3b1673b9cd3544c",
+    "fig3/above_11_theory.csv": "0354954996f5d5219cf9b9a56e3a8450a15d544c13356ab483c410f01a548f5c",
     "fig3/above_17_synthetic.csv": "ad5cd23d33ad4bc63f90eb3294f1741ee409f330b3b5d10c3f9f95b4162893b4",
-    "fig3/above_17_theory.csv": "812dba2526b5c253475584d3302202622c9257823c081c05b2bdc643f927e423",
+    "fig3/above_17_theory.csv": "90e6452a80363a30968e2429b83b1967be3c6e0c175ba5fe65d99b0e61624172",
     "fig3/below_15_synthetic.csv": "516726afb21f635de63fec4a7ff24fd6bfe84a71a489a81f5ed05b15279d1855",
-    "fig3/below_15_theory.csv": "3d33d9cb95098091970b2405deb4c82a64c7858108b643d4cea6d002b4d465f8",
+    "fig3/below_15_theory.csv": "d9f17e452a8a9e7245b946561cc493a731a204fa4b99e530293085b64072ecfc",
     "fig3/below_8_synthetic.csv": "264c859e784ba2ec9aa5a32a36f008c26c8618c2cc5ba8e1a811be2da8a14492",
-    "fig3/below_8_theory.csv": "5498dd15ce0d69ce9d9b8880ebb57d65e6d4984ed8196787d304e7ed9eebb3a9",
+    "fig3/below_8_theory.csv": "5be2fac95645e8599a21d88088764cf276a1a4849bca5f7e0f62e9a2906834fe",
     "fig3/exact_t10_synthetic.csv": "4608d3a6a60e5002d28e01a80c024adc24fcd4515b4944e307a442a3cf89d7d9",
-    "fig3/exact_t10_theory.csv": "736cac305ecf758e4009652d8e4b09cd08e53ad7f1172e25a2848b25e5e043c1",
+    "fig3/exact_t10_theory.csv": "e4a6bd798dad04c13a6f6e5f90687a036204feb37e233b9c26ee13d5894fd3ca",
     "fig3/exact_t15_synthetic.csv": "a22ebdad6e407ad0e31653c0cc3d01b5ecf2f1784067a4a2a5aa09129e2490f3",
-    "fig3/exact_t15_theory.csv": "8b5cc04dbf177548f66d4efc4da03a815f0273435ae4a69c5f75b0b7f2fa9723",
+    "fig3/exact_t15_theory.csv": "b2e777f4327b736f7f1babf8f53c5b789a322a126fde83eae93d188a235c92ff",
     "fig3/manifest.json": "fdd05ed173c084665fb414c521dbb8b04acbc35d070a549ad3a33a5362c7bb31",
     "fig3/means_synthetic.csv": "b5d89b8d671b702f4c3f67623b60d7d6e39a9f0a588bcd705da4355cc3b5bb5c",
-    "fig3/means_theory.csv": "e6e4ff622e1fe0f3c86d4f6aef07ff02bd9369b568eaaeeb05a1ed97286bd1f4",
+    "fig3/means_theory.csv": "301013624a336d6b3270eee5b6d4cf19eae3f18d1add13b6ca085e789ba8418c",
     "fig3/shots.csv": "f821e2c55afc773f960778ce54f0ea775ffdc00cc47fb413f7a21d35a77bb95a",
-    "fig3/unconditioned_theory.csv": "9ac341b9fc9405aa38e4ddf72a93aae96a6251bac94751f105eca242b804f367",
-    "fig4/efficiency_panel.csv": "96be4d2341f5b7a59a4b98485857c8095414be3c6b66eb660fbaa339f7c40912",
-    "fig4/energy_panel.csv": "e771a7c686a42ee5e25fb5e9eae72d3bdfec9630ecfb2dbf5427f6d25d46ee32",
+    "fig3/unconditioned_theory.csv": "ae8df2d152c313cbf2e2056f6807955a472e7b8f98dedd6a61732741fb3ac9dc",
+    "fig4/efficiency_panel.csv": "faa6ab264f2e18055adf4044153c0efa441453697173780adf3758301d8ab93e",
+    "fig4/energy_panel.csv": "7dc67cf13cf42d510a642c00cb80b8835656d9aa70fd78b924f2691c7f4986be",
     "fig4/manifest.json": "443c876b25365b51a737be679dbc62f86d72ebc3377201e2cfeaed0b3ac37b09",
-    "fig4/modes_panel.csv": "9802ebbbbe6e46785b6daa07d9d1d7694c821b247f68b66314318d935615e996",
-    "fig4/trigger_panel.csv": "2967741c8a0a3d6a589713d7225a274de3edbc606fb669041839838f10c5d70e",
+    "fig4/modes_panel.csv": "1b0017e852a433a6caf6c8f54a3a2a6a0085d1c48b2ecaaab7e62b12a7302a63",
+    "fig4/trigger_panel.csv": "ee83bcc18a151c9150b2d0025d3e29fdcb41c07049557ea1469e1e4dc41dea6c",
     "fig5/above_17_synthetic.csv": "ffa5db5e9067d88b332626671414b5c50bd675f02b86fb4d43d5030c0936138f",
-    "fig5/above_17_theory.csv": "1f3acd5d840a37e40005790dbcf96858bce2203b1289be54d930269d78c31b8c",
+    "fig5/above_17_theory.csv": "e737ed4df84c188557d3fe11dbdefbe3501c6e35aa684f2025d1a82fa0ff4527",
     "fig5/above_21_synthetic.csv": "bdd283d6c1e43f9dad9eceac08a230975b66c1d2a69cd8da22dce4ec4c748c9c",
-    "fig5/above_21_theory.csv": "fd5525d5fbd4f850c78fab5567cbaec3ed5c72b5bf27f143ee0276f6f7a2d760",
+    "fig5/above_21_theory.csv": "dcb9ecfb5dad716bcd973cba608646bfd4850c159db58acdc55d74e8a2c7b957",
     "fig5/below_10_synthetic.csv": "3bad6714484e6862e26238363081845589f82cf40703f5b5f80e50efee2537a3",
-    "fig5/below_10_theory.csv": "9390f44843fb16ea3f6d3db22300c95be997373e24fbde1fbe2be024af92b53d",
+    "fig5/below_10_theory.csv": "9dcb054d858f06a07a8980015084394a2442ba62afd83f2dbed168d4da79778e",
     "fig5/below_15_synthetic.csv": "73688f302ca8a12d3005e76a250e3437de4d3938eef39d741534d8b6927c6fe7",
-    "fig5/below_15_theory.csv": "e31941c8384b0c8026439e7cb023e07a239f031684f09eaadab9c927cffd5b2b",
+    "fig5/below_15_theory.csv": "a39b10d85e85b120b2f90722d0ec280c8b966fec5954961cdf5562042bf687d2",
     "fig5/exact_t13_synthetic.csv": "39041afbd7860941f88d3136341a360ea814e56304937ac1f7a6f0bd244afebb",
-    "fig5/exact_t13_theory.csv": "f6324ef51aaf6e57feca02b5200cdad8bb670a56dbe9485c99339026c4162c7d",
+    "fig5/exact_t13_theory.csv": "34cebd70a0610b81b6d2d5834aa4b34787b32e79cfb6c0a1204659350d35fe4a",
     "fig5/exact_t19_synthetic.csv": "2b6ec7af67c8126105e2df615efb07188482680d1b312b0d70def504ad75443d",
-    "fig5/exact_t19_theory.csv": "9e2f70887c496abb4c2eea584f0efbb6b2393b1ea78f66feb615ebe4abd28ce5",
+    "fig5/exact_t19_theory.csv": "263df9be4fd1fa56e1ab4cfbad5b0551d239cbf32b658804a9f297444d4c2878",
     "fig5/manifest.json": "5e8a0e08fe8c63a47bb51ac8e726d763a2e1963a369f7ebfeb74ebf15f5b3d88",
     "fig5/means_synthetic.csv": "92609847fa11271b47125e2d743964f26765a692ebc83bcec5830f3825ee65ec",
-    "fig5/means_theory.csv": "7a14a4fac385623999ca1d1d18a24fae7e2d2c999db1a910d0cc3df77d1a2423",
+    "fig5/means_theory.csv": "bc20eb9d415d0b6113f89220d35a8b8066129167abf068e18e3b3d0d8c3e03c3",
     "fig5/shots.csv": "0095255383d8c822f91d087f629cdbbe17fac773d6639acb9e3c8815b2d84ef9",
-    "fig5/unconditioned_theory.csv": "ab5e223cabb3c6d08c66c7a32fed3426697f58d13218ce993c35c7724d534c6f",
+    "fig5/unconditioned_theory.csv": "b4a1af944eacf2307ba60dae8770cfd945f8b3bc7a40bb28a93826afb6afdf50",
 }
 
 

@@ -27,28 +27,30 @@ from twinbeam import (
 from twinbeam.conditional import _ratio
 from twinbeam.core import _law_tail, _log_nb_running
 
-from conftest import PARAMS_A, PARAMS_B
+from conftest import PARAMS_A, PARAMS_B, decimal_log_nb, state_odds
 
 
-def _nb_terms(a: float, x: float, n: int) -> list:
-    """p(0) .. p(n-1) of NB(a, x) for the doubles a and x, in 40 digits."""
+def _nb_terms(a: float, odds: float, n: int) -> list:
+    """p(0) .. p(n-1) of NB(a, x), x = odds/(1 + odds), for the doubles a
+    and odds, in 40 digits."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        a, x = Decimal(a), Decimal(x)
-        term, out = (a * (1 - x).ln()).exp(), []
+        a, odds = Decimal(a), Decimal(odds)
+        x = odds / (1 + odds)
+        term, out = (-a * (1 + odds).ln()).exp(), []
         for j in range(n):
             out.append(term)
             term = term * (j + a) * x / (j + 1)
     return out
 
 
-def _nb_upper(a: float, x: float, k: int) -> Decimal:
-    """P(NB(a, x) > k) in 40 digits, summed until the terms fall below 1e-45
-    of the sum."""
+def _nb_upper(a: float, odds: float, k: int) -> Decimal:
+    """P(NB(a, x) > k), x = odds/(1 + odds), in 40 digits, summed until the
+    terms fall below 1e-45 of the sum."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        a_, x_ = Decimal(a), Decimal(x)
-        term = _nb_terms(a, x, k + 2)[-1]
+        a_, x_ = Decimal(a), Decimal(odds) / (1 + Decimal(odds))
+        term = _nb_terms(a, odds, k + 2)[-1]
         total, j = Decimal(0), k + 1
         while term > total * Decimal("1e-45"):
             total += term
@@ -63,7 +65,7 @@ def test_deep_state_tail_matches_a_decimal_sum():
     tol = 1e-270
     state = build_conditional(PARAMS_B, SelectionRule.exact(9), tol=tol)
     k = state.log_levels.size - 1
-    true = _nb_upper(9 + PARAMS_B.mu, _ratio(PARAMS_B)[0], k)
+    true = _nb_upper(9 + PARAMS_B.mu, _ratio(PARAMS_B), k)
     assert true <= Decimal(tol)
     assert abs(Decimal(state.tail_bound) - true) <= Decimal("1e-12") * true
 
@@ -71,17 +73,17 @@ def test_deep_state_tail_matches_a_decimal_sum():
 def test_deep_marginal_quantile_matches_a_decimal_sum():
     # betainc gave 813 here; the quantile is 874
     q, mu, m = 2.5e-301, PARAMS_B.mu, PARAMS_B.mean_counts
-    ratio = m / (m + mu)
-    k = _law_tail(mu, ratio, q)[1]
+    odds = m / mu
+    k = _law_tail(mu, odds, q)[1]
     assert k == 874
-    assert _nb_upper(mu, ratio, k) <= Decimal(q) < _nb_upper(mu, ratio, k - 1)
+    assert _nb_upper(mu, odds, k) <= Decimal(q) < _nb_upper(mu, odds, k - 1)
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-30, 1e-200])
 def test_heads_are_the_running_sum_bit_for_bit(tol):
-    for a, x in ((197.0, 0.0637), (42.0, 0.8726), (1.0, 0.9995), (2.3, 0.4773)):
-        head, k, tail = _law_tail(a, x, tol)
-        assert np.array_equal(head, _log_nb_running(a, x, k + 1))
+    for a, odds in ((197.0, 0.068), (42.0, 6.86), (1.0, 1999.0), (2.3, 0.913)):
+        head, k, tail = _law_tail(a, odds, tol)
+        assert np.array_equal(head, _log_nb_running(a, odds, k + 1))
         assert k + 1 == head.size
         assert 0.0 < tail <= tol
 
@@ -91,36 +93,35 @@ def test_a_refilled_head_is_the_running_sum_bit_for_bit(monkeypatch):
     # so the head is summed a second time at the longer length
     lengths, running = [], core._log_nb_running
 
-    def counted(a, x, n, start=None):
+    def counted(a, odds, n):
         lengths.append(n)
-        return running(a, x, n, start)
+        return running(a, odds, n)
 
     monkeypatch.setattr(core, "_log_nb_running", counted)
-    start, x = -math.log1p(80.0), 80.0 / 81.0
-    head, k, tail = _law_tail(1.0, x, 1e-15, start=start)
+    head, k, tail = _law_tail(1.0, 80.0, 1e-15)
     assert len(lengths) == 2 and lengths[0] < lengths[1]
-    assert np.array_equal(head, running(1.0, x, k + 1, start))
+    assert np.array_equal(head, running(1.0, 80.0, k + 1))
     assert 0.0 < tail <= 1e-15
 
 
 def test_tails_match_decimal_sums():
     for params in (PARAMS_A, PARAMS_B, ExperimentParams(2.3, 0.35, 2.1)):
         for t in (0, 7, 19):
-            a, x = t + params.mu, _ratio(params)[0]
+            a, odds = t + params.mu, _ratio(params)
             for tol in (1e-10, 1e-14):
-                _, k, tail = _law_tail(a, x, tol)
-                true = _nb_upper(a, x, k)
+                _, k, tail = _law_tail(a, odds, tol)
+                true = _nb_upper(a, odds, k)
                 assert abs(Decimal(tail) - true) <= Decimal("1e-13") * true
-                assert true <= Decimal(tol) < _nb_upper(a, x, k - 1)
+                assert true <= Decimal(tol) < _nb_upper(a, odds, k - 1)
 
 
 def test_binomial_tails_end_with_the_support():
     for n, eta in ((0, 0.3), (1, 0.9), (57, 0.056), (400, 0.999)):
-        head, k, tail = _law_tail(-float(n), -eta / (1.0 - eta), 1e-12)
+        head, k, tail = _law_tail(-float(n), -eta, 1e-12)
         assert k <= n and head.size == k + 1
         assert tail <= 1e-12
     # Bin(n, eta) has no mass beyond n
-    assert _law_tail(-5.0, -0.9 / 0.1, 1e-300)[1:] == (5, 0.0)
+    assert _law_tail(-5.0, -0.9, 1e-300)[1:] == (5, 0.0)
 
 
 def test_subnormal_mean_counts_is_the_point_mass_at_zero():
@@ -163,6 +164,48 @@ def test_a_long_below_rule_is_refused_quickly():
     with pytest.raises(TableSizeError):
         cond_count_dist(PARAMS_A, SelectionRule.below(5_000_001))
     assert time.perf_counter() - start < 3.0
+
+
+def test_a_wide_below_rule_is_refused_before_listing_its_values():
+    # the rule's width alone needs (4 + width)(width + 1) > 8e6 recurrence
+    # cells: listing 4e6 trigger values first took 0.32 s and 183 MiB
+    rule = SelectionRule.below(4_000_000)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(TableSizeError, match="recurrence cells"):
+            cond_count_dist(PARAMS_A, rule)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 10 * 2**20
+    # the mixture itself needs no recurrence cells
+    assert len(build_conditional(PARAMS_A, rule).trigger_values) == 4_000_000
+
+
+def test_a_huge_state_matches_decimal_values_at_both_ends():
+    # 19,376,966 levels: the running sum from a rounded ratio was +2.9e-10
+    # off at level 0 and -7.9e-10 at the last
+    params = ExperimentParams(2.08, 3.42e-6, 46.8)
+    state = build_conditional(params, SelectionRule.exact(18))
+    assert state.log_levels.size == 19_376_966
+    odds = state_odds(params)
+    for j in (0, state.log_levels.size - 1):
+        ref = decimal_log_nb(18 + params.mu, odds, j)
+        assert abs(state.log_levels[j] - float(ref)) <= 1e-13, j
+
+
+@pytest.mark.parametrize("params,triggers", [(PARAMS_A, (0, 5, 11, 20, 40)),
+                                             (PARAMS_B, (0, 7, 13, 19, 30))], ids=["A", "B"])
+def test_states_at_a_and_b_match_decimal_values(params, triggers):
+    # the steps from a rounded ratio left 3.0e-14 (A) and 3.7e-14 (B)
+    odds = state_odds(params)
+    for t in triggers:
+        levels = build_conditional(params, SelectionRule.exact(t)).log_levels
+        for j in np.linspace(0, levels.size - 1, 25).astype(int).tolist():
+            ref = decimal_log_nb(t + params.mu, odds, j)
+            assert abs(math.expm1(levels[j] - float(ref))) <= 1.5e-14, (t, j)
 
 
 def test_huge_thresholds_are_refused_before_listing_the_marginal():
