@@ -19,8 +19,9 @@ form (C. Loader, "Fast and Accurate Computation of Binomial
 Probabilities", 2000), O(1) at any count.  ``_log_nb_running`` is the one
 running sum, of steps log1p((a-1)/(k+1)) + log x, anchored at the mode
 where that is large, so that no sum climbs from a far p(0); ``_law_tail``
-takes it long enough that geometric bounds pin the rest, and gives every
-support, cut and omitted mass (A&S 26.5.24/26.5.26 are never evaluated).
+sizes it from the point formula, sums it once, long enough that geometric
+bounds pin the rest, and gives every support, cut and omitted mass
+(A&S 26.5.24/26.5.26 are never evaluated).
 ``joint_table`` needs no series: the identity (1 - r(a + bu)(a + bv)) dG/du =
 mu r b (a + bv) G gives, with m = M/mu and D = 1 + m(2-eta), for the
 conditional law R(s, t) = p(s, t)/p2(s) = P(t | s)
@@ -433,17 +434,16 @@ def _law_tail(a: float, odds: float, tol: float, cap=math.inf, refuse: str = "",
     """Head and upper tail of the law of ``_log_nb_running`` with the same
     a and odds.  The cut is tol * P(X >= size - 1).
 
-    The head, the log pmf from ``_log_nb_running``, is recomputed at the new
-    length until the rest R beyond its last term N is below the cut: the
-    term ratios fall toward x0 = max(x, 0), so with rho = p(N+1)/p(N),
-    p(N) rho/(1-x0) <= R <= p(N) rho/(1-rho).  R is then summed on as ratio
-    products until these bounds, taken further out, differ by 2**-60 of the
-    cut, and their mean is added.  P(X > j) is summed in reverse from N,
-    scaled by the cut, back to the first j above it.  Returns the log pmf at
-    0..k, k the smallest k >= size - 1 with P(X > k) <= cut, and P(X > k).
-    A k at or beyond ``cap`` raises TableSizeError(refuse), at once where
-    the terms at and past cap alone outweigh tol or the pmf still rises at
-    cap.
+    The head, the log pmf from ``_log_nb_running``, is summed once, to the
+    first trial length whose rest R beyond its last term N is below the cut,
+    each length judged by ``_log_pmf`` at N alone: the term ratios fall
+    toward x0 = max(x, 0), so with rho = p(N+1)/p(N), p(N) rho/(1-x0) <= R
+    <= p(N) rho/(1-rho).  R is then summed on as ratio products until these
+    bounds, taken further out, differ by 2**-60 of the cut, and their mean is
+    added.  P(X > j) is summed in reverse from N, scaled by the cut, back to
+    the first j above it.  Returns the log pmf at 0..k, k the smallest
+    k >= size - 1 with P(X > k) <= cut, and P(X > k).  A k at or beyond
+    ``cap`` raises TableSizeError(refuse) before any head is summed.
     """
     x, log_x = _law(odds)[:2]
     if cap < size or x >= 1.0:  # x = 1: odds beyond 2**53, no finite support
@@ -458,27 +458,20 @@ def _law_tail(a: float, odds: float, tol: float, cap=math.inf, refuse: str = "",
     def guess(nats):  # where p falls below e**-nats: a gamma-like bulk, then its decay
         return int(mean + math.sqrt(2.0 * nats * mean / (1.0 - x)) + 2.0 / 3.0 * nats * decay) + 2
 
-    n = guess(_LOG_PIN - log_cut)  # with room to spare where a refill costs more
-    n = min(max(n + n // 16 + 16 if n < 4096 else guess(-log_cut), size + 1), end)
-    if n > cap:
-        rising = tol < 0.5 and (cap + a) * x >= cap + 1.0  # then P(X >= cap) >= 1/2
-        if rising or _log_pmf(a, odds, cap) - math.log1p(-x0) > math.log(tol):
-            raise TableSizeError(refuse)
-        n = cap
-    while True:
-        head = _log_nb_running(a, odds, n)
-        rho, miss = (n - 1 + a) * x / n, 0.0
-        if n >= end:  # the binomial's last term: rho = 0
+    n = guess(_LOG_PIN - log_cut)  # the margin fixes each head's length, and so its bits
+    n = min(max(n + n // 16 + 16 if n < 4096 else guess(-log_cut), size + 1), end, cap)
+    while n < end:  # sized from the point formula: each trial length is O(1)
+        rho = (n - 1 + a) * x / n
+        over = _log_pmf(a, odds, n - 1) + math.log(rho / (1.0 - rho)) - log_cut if rho < 1.0 else math.inf
+        if over <= 0.0:  # the upper bound p(n-1) rho/(1-rho) on the rest is below the cut
             break
-        if rho < 1.0:  # over the cut: the upper bound, and the pin of its gap
-            over = float(head[-1]) + math.log(rho / (1.0 - rho)) - log_cut
-            gap = (rho - x0) / (1.0 - x0)
-            miss = max(over, over + math.log(max(gap, 1e-300)) + _LOG_PIN)
-            if over <= 0.0:
-                break
         if n >= cap:
             raise TableSizeError(refuse)
         n = int(min(n + 1 + (min(over / -math.log(rho), 4 * n) if rho < 1.0 else n), end, cap))
+    head, miss = _log_nb_running(a, odds, n), 0.0
+    if n < end:  # the loop's last rho: the upper bound over the cut, and the pin of its gap
+        over = float(head[-1]) + math.log(rho / (1.0 - rho)) - log_cut
+        miss = max(over, over + math.log(max((rho - x0) / (1.0 - x0), 1e-300)) + _LOG_PIN)
     scale = max(log_cut, -700.0)  # so that no tail overflows
     rest, last, top = 0.0, math.exp(float(head[-1]) - scale), n - 1
     if miss > 0.0:  # the terms that pin the rest, as ratio products in chunks

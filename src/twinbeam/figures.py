@@ -27,7 +27,7 @@ from .conditional import (
     cond_count_dist,
     conditional_mean,
 )
-from .core import marginal_dist
+from .core import _validate_count, marginal_dist
 from .errors import InfeasibleConstraintError, ParameterError
 from .nongauss import solve_mean_counts, sweep
 from .params import ExperimentParams
@@ -62,6 +62,7 @@ def reproduce(
     """
     if figure_id not in FIGURE_IDS:
         raise ParameterError(f"unknown figure id {figure_id!r}; know {FIGURE_IDS}")
+    seed = _validate_count(seed, "seed")  # before any file of the bundle is written
     # absolute, so that writing below it does not apply $TWINBEAM_OUTDIR twice
     outdir = serialize.resolve_output(Path(outdir) / figure_id).absolute()
     if figure_id in ("fig2a", "fig2b"):

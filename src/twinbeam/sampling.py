@@ -58,12 +58,12 @@ class ShotRecord:
         shots = np.ascontiguousarray(self.shots)
         if shots.ndim != 2 or shots.shape[1] != 2 or shots.shape[0] < 1:
             raise ParameterError("shots must be a non-empty (n, 2) array")
-        if not np.issubdtype(shots.dtype, np.integer):
-            if not np.all(shots == np.floor(shots)):
-                raise ParameterError("shot counts must be integers")
-            shots = shots.astype(np.int64)
+        if not np.issubdtype(shots.dtype, np.integer) and not np.all(shots == np.floor(shots)):
+            raise ParameterError("shot counts must be integers")
         if np.any(shots < 0):
             raise ParameterError("shot counts must be >= 0")
+        if np.any(shots >= 2**63):  # infinity too: the cast to int64 would wrap them
+            raise ParameterError("shot counts must be integers below 2**63")
         shots = shots.astype(np.int64, copy=False)
         shots.flags.writeable = False
         object.__setattr__(self, "shots", shots)

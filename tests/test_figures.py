@@ -13,6 +13,13 @@ def test_unknown_figure_rejected(tmp_path):
         reproduce("fig7", tmp_path)
 
 
+def test_negative_seed_rejected_before_writing(tmp_path):
+    # fig3 wrote its 8 theory files before the sampler refused the seed
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        reproduce("fig3", tmp_path, seed=-1)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_relative_outdir_env_keeps_bundle_together(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("TWINBEAM_OUTDIR", "rel")

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,18 @@ def test_csv_refusals_name_the_rule(tmp_path, name):
     path.write_text(MALFORMED[name])
     with pytest.raises(ParameterError, match=f"^{re.escape(f'{path}: {rule}')}"):
         getattr(serialize, reader)(path)
+
+
+@pytest.mark.parametrize("count", ["1e30", "Infinity"])
+def test_json_counts_beyond_int64_are_refused_without_a_warning(tmp_path, count):
+    # the cast to int64 warned "invalid value encountered in cast" and wrapped
+    # the count to -2**63, refused as a negative count
+    path = tmp_path / "shots.json"
+    path.write_text(f'{{"shots": [[{count}, 2]]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"shot counts must be integers below 2\*\*63$"):
+            serialize.read_record(path)
 
 
 def test_bad_cell_names_its_line_in_the_file(tmp_path):

@@ -11,6 +11,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import twinbeam.conditional as conditional
 import twinbeam.core as core
@@ -22,12 +23,15 @@ from twinbeam import (
     TableSizeError,
     build_conditional,
     cond_count_dist,
+    joint_table,
     marginal,
+    marginal_dist,
+    nongauss_report,
 )
 from twinbeam.conditional import _ratio
 from twinbeam.core import _law_tail, _log_nb_running
 
-from conftest import PARAMS_A, PARAMS_B, decimal_log_nb, state_odds
+from conftest import PARAMS_A, PARAMS_B, _log_uniform, decimal_log_nb, state_odds
 
 
 def _nb_terms(a: float, odds: float, n: int) -> list:
@@ -88,20 +92,77 @@ def test_heads_are_the_running_sum_bit_for_bit(tol):
         assert 0.0 < tail <= tol
 
 
-def test_a_refilled_head_is_the_running_sum_bit_for_bit(monkeypatch):
-    # the first guess of the support falls short at M/mu = 80 and tol 1e-15,
-    # so the head is summed a second time at the longer length
-    lengths, running = [], core._log_nb_running
+def _counted_sums(monkeypatch) -> list:
+    """The lengths of every running sum taken from here on."""
+    lengths = []
 
     def counted(a, odds, n):
         lengths.append(n)
-        return running(a, odds, n)
+        return _log_nb_running(a, odds, n)
 
     monkeypatch.setattr(core, "_log_nb_running", counted)
+    monkeypatch.setattr(conditional, "_log_nb_running", counted)
+    return lengths
+
+
+def test_a_refilled_head_is_the_running_sum_bit_for_bit(monkeypatch):
+    # the first guess of the support falls short at M/mu = 80 and tol 1e-15:
+    # the point formula finds the longer length, and the head is summed once
+    trials, point = [], core._log_pmf
+
+    def pointed(a, odds, j):
+        trials.append(j + 1)
+        return point(a, odds, j)
+
+    monkeypatch.setattr(core, "_log_pmf", pointed)
+    lengths = _counted_sums(monkeypatch)
     head, k, tail = _law_tail(1.0, 80.0, 1e-15)
-    assert len(lengths) == 2 and lengths[0] < lengths[1]
-    assert np.array_equal(head, running(1.0, 80.0, k + 1))
+    assert len(lengths) == 1 and lengths[0] > trials[0]
+    assert np.array_equal(head, _log_nb_running(1.0, 80.0, k + 1))
     assert 0.0 < tail <= 1e-15
+
+
+def test_a_long_head_is_summed_once(monkeypatch):
+    # a first guess of 3,754,398 terms was summed and then summed again at
+    # 4,186,538
+    lengths = _counted_sums(monkeypatch)
+    nongauss_report(ExperimentParams(1.0, 1e-6, 0.1), 0)
+    assert lengths == [4_186_538]
+
+
+_BUILDS = {
+    "marginal": marginal_dist,
+    "joint": joint_table,
+    "exact": lambda p, tol: build_conditional(p, SelectionRule.exact(int(p.mean_counts)), tol),
+}
+
+
+@given(mu=_log_uniform(1.0, 1e6), eta=_log_uniform(1e-9, 0.99), m=_log_uniform(1e-3, 1e8),
+       tol=_log_uniform(1e-300, 0.5))
+@example(mu=1e4, eta=0.5, m=3.74e6, tol=1e-12)
+@example(mu=1e6, eta=0.5, m=3.97e6, tol=1e-12)
+@example(mu=2.9046, eta=6.2853e-9, m=44860.5, tol=4.04e-116)
+@example(mu=11.857, eta=4.225e-8, m=217510.2, tol=6.857e-89)
+@example(mu=12.363, eta=5.865e-7, m=124023.2, tol=6.105e-175)
+@settings(max_examples=50, deadline=None)
+def test_budget_refusals_come_before_any_sum(mu, eta, m, tol):
+    # each example once summed a 4e6-term head before its refusal, with a
+    # traced peak of 96-128 MB; the last three summed one twice
+    params = ExperimentParams(mu, eta, m)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        lengths = _counted_sums(monkeypatch)
+        for name, build in _BUILDS.items():
+            lengths.clear()
+            tracemalloc.start()
+            try:
+                build(params, tol)
+            except TableSizeError:
+                peak = tracemalloc.get_traced_memory()[1]
+                assert lengths == [] and peak < 2**20, (name, lengths, peak)
+            except ConditioningError:
+                pass
+            finally:
+                tracemalloc.stop()
 
 
 def test_tails_match_decimal_sums():
