@@ -57,12 +57,14 @@ def _emit(args, obj, extra: dict | None = None) -> None:
         _save(args.out, text)
 
 
-def _json_only(flag: str, path, fmt: str | None = None) -> None:
-    """Refuse an explicit CSV request, ``--format csv`` or a .csv path, for
-    an output that has only a JSON form."""
-    if fmt == "csv" or str(path).lower().endswith(".csv"):
+def _check_format(path, fmt: str | None = None, json_only: str | None = None) -> None:
+    """Refuse, before any work, a --format against a .csv/.json path, and CSV for ``json_only``."""
+    ext = next((ext for ext in ("csv", "json") if str(path).lower().endswith(f".{ext}")), None)
+    if json_only and "csv" in (fmt, ext):
         asked = "--format csv" if fmt == "csv" else f"the path {path}"
-        raise TwinbeamError(f"{flag} writes JSON only, but {asked} asks for CSV")
+        raise TwinbeamError(f"{json_only} writes JSON only, but {asked} asks for CSV")
+    if fmt and ext and fmt != ext:
+        raise TwinbeamError(f"--format {fmt} contradicts the path {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,6 +160,9 @@ def _selection_rule(args) -> SelectionRule:
 
 
 def _run(args) -> int:
+    if "format" in args:  # the commands whose --out takes either format
+        _check_format(args.out, args.format, "nongauss" if args.command == "nongauss" else None)
+
     if args.command == "joint":
         _emit(args, joint_table(_params(args), tol=args.tol))
 
@@ -169,7 +174,7 @@ def _run(args) -> int:
         rule = _selection_rule(args)
         if args.state_out is not None and rule.kind != "exact":
             raise TwinbeamError("--state-out needs an exact trigger rule (--t)")
-        _json_only("--state-out", args.state_out)
+        _check_format(args.state_out, json_only="--state-out")
         dist = cond_count_dist(params, rule, tol=args.tol, verify=args.verify)
         if args.state_out is not None:
             state = build_conditional(params, rule, tol=args.tol)
@@ -177,7 +182,6 @@ def _run(args) -> int:
         _emit(args, dist)
 
     elif args.command == "nongauss":
-        _json_only("nongauss", args.out, args.format)
         _emit(args, nongauss_report(_params(args), args.t, tol=args.tol), {"tol": args.tol})
 
     elif args.command == "sweep":
@@ -194,7 +198,7 @@ def _run(args) -> int:
         _emit(args, sample_run(_params(args), args.shots, args.seed, workers=args.workers))
 
     elif args.command == "estimate":
-        _json_only("estimate --out", args.out)
+        _check_format(args.out, json_only="estimate --out")
         record = serialize.read_record(args.input)
         report = estimate_params(record, refine=args.refine, compute_fidelity=not args.no_fidelity)
         se = report.standard_errors

@@ -9,7 +9,8 @@ Data only, no rendering: the files feed any plotting front end.
   fig3, fig5    conditional count distributions (exact trigger values,
                 above- and below-threshold selections), the affine
                 conditional-mean line, and a synthetic 50 000-shot
-                "experimental" overlay resampled from the model
+                "experimental" overlay resampled from the model, every
+                post-selection of it read from its one (s, t) count table
   fig4          four renormalised-nonGaussianity sweep panels (vs energy,
                 trigger value, efficiency, and mode number)
 """
@@ -31,7 +32,7 @@ from .core import _validate_count, marginal_dist
 from .errors import InfeasibleConstraintError, ParameterError
 from .nongauss import solve_mean_counts, sweep
 from .params import ExperimentParams
-from .sampling import sample_run
+from .sampling import histogram, sample_run
 
 __all__ = ["FIGURE_IDS", "reproduce"]
 
@@ -126,25 +127,34 @@ def _conditional_figure(figure_id: str, outdir: Path, seed: int, tol: float) -> 
     write("means_theory.csv", serialize.format_csv("kind,value,mean", mean_rows),
           "conditional mean counts vs trigger value / threshold")
 
-    # Synthetic experimental overlay: resample the model and post-select.
+    # Synthetic experimental overlay: resample the model, post-select from its counts.
     record = sample_run(params, _SHOTS, seed=seed)
     write("shots.csv", serialize.format_table(record, "csv"), f"synthetic record, {_SHOTS} shots")
-    s_arr, t_arr = record.s, record.t
+    counts = histogram(record).meta["counts"]
     for name, rule in rules:
-        selected = s_arr[rule.mask(t_arr)]
-        if selected.size:
-            probs = np.bincount(selected) / selected.size
+        probs, _, n_selected = _post_selected(counts, rule)
+        if n_selected:
             write(f"{name}_synthetic.csv", serialize.format_csv("s,p", enumerate(probs.tolist())),
                   f"post-selected synthetic counts, {rule.describe()}")
     emp_rows = []
     for rule in curves:
-        selected = s_arr[rule.mask(t_arr)]
-        if selected.size >= 20:
-            emp_rows.append((rule.kind, rule.threshold, float(selected.mean()), selected.size))
+        _, mean, n_selected = _post_selected(counts, rule)
+        if n_selected >= 20:
+            emp_rows.append((rule.kind, rule.threshold, mean, n_selected))
     write("means_synthetic.csv", serialize.format_csv("kind,value,mean,n_shots", emp_rows),
           "post-selected synthetic mean counts")
 
     return {"params": params.to_dict(), "axes": ["s"], "n_shots": _SHOTS, "files": files}
+
+
+def _post_selected(counts: np.ndarray, rule: SelectionRule) -> tuple[np.ndarray, float, int]:
+    """The s histogram (to the last s seen), mean s and number of the shots
+    ``rule`` accepts, summed over its t columns of a record's count table."""
+    per_s = np.trim_zeros(counts[:, rule.mask(np.arange(counts.shape[1]))].sum(axis=1), "b")
+    n_selected = int(per_s.sum())
+    # an exact integer sum below 2**53 over the count: the float mean, bit for bit
+    mean = int(per_s @ np.arange(per_s.size)) / n_selected if n_selected else np.nan
+    return per_s / n_selected, mean, n_selected
 
 
 # (mu, eta) curve families shared by the sweep panels.

@@ -80,22 +80,20 @@ class ShotRecord:
         return self.shots[:, 1]
 
 
-def _draw_block(params: ExperimentParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n shots from one stream, as one gamma rate and three Poisson counts.
+def _draw_block(params: ExperimentParams, shots: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``shots`` from one stream, as one gamma rate and three Poisson counts each.
 
     Per shot, x = Gamma(mu) * mean_counts / mu is the rate eta * L of one
     arm's detected photons; both = Poisson(eta x) counts the photons detected
     on both arms, and each arm adds its own Poisson((1 - eta) x).  Fixed draw
     order: rates, shared counts, arm-1 counts, arm-2 counts.
     """
-    x = rng.standard_gamma(params.mu, size=n)
+    x = rng.standard_gamma(params.mu, size=len(shots))
     x *= params.mean_counts / params.mu
     both = rng.poisson(params.eta * x)
     one_arm = (1.0 - params.eta) * x
-    shots = np.empty((n, 2), dtype=np.int64)
     np.add(both, rng.poisson(one_arm), out=shots[:, 0])
     np.add(both, rng.poisson(one_arm), out=shots[:, 1])
-    return shots
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -125,21 +123,17 @@ def sample_run(
     if n_shots < 1 or workers < 1:
         raise ParameterError(f"n_shots and workers must be >= 1, got {n_shots} and {workers}")
 
-    blocks = [
-        (index, min(BLOCK_SIZE, n_shots - start))
-        for index, start in enumerate(range(0, n_shots, BLOCK_SIZE))
-    ]
+    shots = np.empty((n_shots, 2), dtype=np.int64)
 
-    def run_block(spec: tuple[int, int]) -> np.ndarray:
-        index, size = spec
-        return _draw_block(params, size, _block_rng(seed, index))
+    def run_block(index: int) -> None:  # each block fills its own rows of the record
+        _draw_block(params, shots[index * BLOCK_SIZE:][:BLOCK_SIZE], _block_rng(seed, index))
 
+    blocks = range(-(-n_shots // BLOCK_SIZE))
     if workers == 1 or len(blocks) == 1:
-        parts = [run_block(spec) for spec in blocks]
+        list(map(run_block, blocks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, blocks))
-    shots = np.vstack(parts)
+            list(pool.map(run_block, blocks))  # reading each result re-raises its error
     meta = {
         "params": params.to_dict(),
         "seed": seed,

@@ -21,6 +21,8 @@ with one ``np.loadtxt`` call (int64 count columns, a float64 ``p`` column).
 ``...`` marks the fields a caller adds through ``format_table``'s
 ``extra``.  CSV cells hold ints in decimal and floats as Python's shortest
 round-trip repr, so files are locale-independent and re-read bit-exactly.
+A record's CSV lines and JSON shots are formatted once per distinct (s, t)
+pair; JSON counts read as exact int64 (``2.0`` as 2; no strings, booleans).
 Every JSON payload opens with ``"schema": 1``; every file ends with a
 newline.  ``read_table`` and ``read_record`` raise ParameterError naming
 the path for a file they cannot read back: missing, not text, a wrong
@@ -32,7 +34,9 @@ missing field.  An output path that cannot be written raises it too.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -56,11 +60,25 @@ SCHEMA = 1
 class _Kind(NamedTuple):
     header: str | None  # None: the kind has no CSV form
     lines: Callable | None  # object -> CSV lines under the header
-    fields: Callable  # (object, extra) -> JSON fields after "schema"
+    fields: Callable | None  # (object, extra) -> JSON fields after "schema"; None: a record
 
 
 def _cells(row) -> str:
     return ",".join(map(str, row))
+
+
+def _pair_texts(shots: np.ndarray, template: str) -> list[str]:
+    """``template.format(s, t)`` per shot, formatted once per distinct pair,
+    coded by the ranks of s and t (below the shot count, so no overflow)."""
+    s_values, code = np.unique(shots[:, 0], return_inverse=True)
+    t_values, t_rank = np.unique(shots[:, 1], return_inverse=True)
+    code *= t_values.size  # in place, and t_rank freed: a lower peak at the next sort
+    code += t_rank
+    del t_rank
+    codes, pair_of_shot = np.unique(code, return_inverse=True)
+    texts = map(template.format, s_values[codes // t_values.size].tolist(),
+                t_values[codes % t_values.size].tolist())
+    return np.array(list(texts), dtype=object)[pair_of_shot].tolist()
 
 
 def _joint_lines(table: JointDistribution):
@@ -87,10 +105,7 @@ _KINDS = {
                           "weights": x.weights.tolist(), "tail_bound": x.tail_bound,
                           "M_t": x.M_t},
     ),
-    ShotRecord: _Kind(
-        "s,t", lambda x: map("{},{}".format, x.shots[:, 0].tolist(), x.shots[:, 1].tolist()),
-        lambda x, extra: {"meta": x.meta, "shots": x.shots.tolist()},
-    ),
+    ShotRecord: _Kind("s,t", lambda x: _pair_texts(x.shots, "{},{}"), None),
     # a sweep is the list of SweepRow that nongauss.sweep returns
     list: _Kind(
         "axis,value,delta,delta_R,S_state,S_ref", lambda x: map(_cells, map(astuple, x)),
@@ -122,6 +137,9 @@ def format_table(obj, fmt: str = "json", extra: dict | None = None) -> str:
     kind = _KINDS[type(obj)]
     if fmt == "csv" and kind.header is not None:
         return _csv_text(kind.header, kind.lines(obj))
+    if kind.fields is None:  # a record: its shots.tolist() formatted per pair, spliced in
+        head = format_json({"meta": obj.meta, "shots": []})  # ends '"shots": []}\n'
+        return f"{head[:-4]}[{', '.join(_pair_texts(obj.shots, '[{}, {}]'))}]}}\n"
     return format_json(kind.fields(obj, extra or {}))
 
 
@@ -153,7 +171,7 @@ def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | 
     header, _, body = text.strip().partition("\n")
     header = header.strip()
     if header not in headers:
-        raise ParameterError(f"{path}: header {header!r} is not one of {headers}")
+        raise ParameterError(f"{path}: header {header[:40]!r} is not one of {headers}")
     if not body:
         raise ParameterError(f"{path}: no rows under the header {header!r}")
     names = header.split(",")
@@ -199,16 +217,34 @@ def read_table(path) -> np.ndarray:
     return table
 
 
+def _json_counts(path, shots) -> np.ndarray:
+    """JSON ``shots`` for ShotRecord: rows of ints as exact int64, all else as
+    float, so that a fractional, infinite or huge count is refused, not cut."""
+    flat = itertools.chain.from_iterable
+    try:
+        widths, kinds = set(map(len, shots)), set(map(type, flat(shots)))
+    except TypeError as exc:
+        raise ParameterError(f"{path}: 'shots' is not a numeric array") from exc
+    if kinds & {str, bool}:
+        raise ParameterError(f"{path}: shot counts must be integers, not strings or booleans")
+    if float in kinds:  # a whole float literal counts as its integer
+        shots = [[int(v) if type(v) is float and v.is_integer() else v for v in row]
+                 for row in shots]
+        kinds = set(map(type, flat(shots)))
+    if widths == {2} and kinds == {int}:
+        with contextlib.suppress(OverflowError):  # beyond int64: through float
+            return np.fromiter(flat(shots), np.int64, 2 * len(shots)).reshape(-1, 2)
+    try:
+        return np.asarray(shots, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ParameterError(f"{path}: 'shots' is not a numeric array") from exc
+
+
 def read_record(path) -> ShotRecord:
     """Load a shot record from CSV (``s,t`` rows) or JSON (shots and meta)."""
     if _is_json(path):
         payload = _read_json(path, "shots")
-        try:
-            # floats, so that ShotRecord rejects a non-integer count instead
-            # of truncating it
-            shots = np.asarray(payload["shots"], dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ParameterError(f"{path}: 'shots' is not a numeric array") from exc
+        shots = _json_counts(path, payload["shots"])
         meta = payload.get("meta", {})
     else:
         shots, _ = _read_csv(path, (_KINDS[ShotRecord].header,))

@@ -201,6 +201,31 @@ def test_estimate_refuses_a_csv_report(tmp_path, monkeypatch, capsys):
         report, capsys)
 
 
+
+@pytest.mark.parametrize("command, fmt, ext", [
+    (["sample", "--shots", "10", "--seed", "1"], "json", "csv"),
+    (["joint"], "csv", "json"),
+    (["marginal"], "json", "CSV"),
+    (["conditional", "--above", "3"], "csv", "json"),
+])
+def test_a_format_contradicting_the_out_extension_is_refused_before_computing(
+    tmp_path, monkeypatch, capsys, command, fmt, ext
+):
+    import twinbeam.cli as cli
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("an output was computed before the format check")
+
+    for name in ("sample_run", "joint_table", "marginal_dist", "cond_count_dist"):
+        monkeypatch.setattr(cli, name, no_computation)
+    path = tmp_path / f"out.{ext}"
+    argv = [command[0], "--mu", "2", "--eta", "0.5", "--mean", "1", *command[1:],
+            "--format", fmt, "--out", str(path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --format {fmt} contradicts the path {path}"]
+    assert not path.exists()
+
 def test_malformed_inputs_give_one_error_line(tmp_path, capsys):
     import twinbeam.cli as cli
 

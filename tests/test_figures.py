@@ -2,10 +2,12 @@ import csv
 import json
 from collections import defaultdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twinbeam import ParameterError, reproduce
-from twinbeam.figures import _feasible
+from twinbeam import ParameterError, SelectionRule, ShotRecord, histogram, reproduce
+from twinbeam.figures import _COND_FIGS, _SHOTS, _feasible, _post_selected
 
 
 def test_unknown_figure_rejected(tmp_path):
@@ -76,3 +78,44 @@ def test_fig4_values_are_well_formed(fig4_dir):
             delta_r = float(row["delta_R"])
             assert -1e-9 <= delta_r <= 1.0
             assert float(row["S_state"]) <= float(row["S_ref"]) + 1e-9
+
+
+# every exact/above/below rule the fig3 and fig5 overlays and mean curves use
+_FIGURE_RULES = sorted(
+    {SelectionRule.exact(t) for t in range(31)}
+    | {SelectionRule.above(t) for t in range(30)}
+    | {SelectionRule.below(t) for t in range(1, 31)}
+    | {rule(t) for _, *families in _COND_FIGS.values()
+       for rule, ts in zip((SelectionRule.exact, SelectionRule.above, SelectionRule.below),
+                           families) for t in ts},
+    key=lambda rule: (rule.kind, rule.threshold),
+)
+
+
+@given(shots=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 40)),
+                      min_size=1, max_size=300))
+@settings(max_examples=60, deadline=None)
+def test_count_table_post_selection_is_the_mask_route_bit_for_bit(shots):
+    record = ShotRecord(np.array(shots, dtype=np.int64))
+    counts = histogram(record).meta["counts"]
+    for rule in _FIGURE_RULES:
+        selected = record.s[rule.mask(record.t)]
+        probs, mean, n_selected = _post_selected(counts, rule)
+        assert n_selected == selected.size
+        want = np.bincount(selected) / selected.size if selected.size else np.zeros(0)
+        assert probs.dtype == want.dtype and probs.tobytes() == want.tobytes()
+        if selected.size:
+            assert np.float64(mean).tobytes() == np.float64(selected.mean()).tobytes()
+
+
+def test_reproduce_masks_no_array_of_record_length(tmp_path, monkeypatch):
+    sizes = []
+    mask = SelectionRule.mask
+
+    def spy(self, t):
+        sizes.append(np.size(t))
+        return mask(self, t)
+
+    monkeypatch.setattr(SelectionRule, "mask", spy)
+    reproduce("fig3", tmp_path)
+    assert sizes and max(sizes) < _SHOTS

@@ -425,3 +425,56 @@ def test_csv_writers_match_the_row_oracle_and_read_back_bit_for_bit(
             got = arrays(reader(path))
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+# small counts, counts up to 1e9, and counts around 2**62 and at 2**63 - 1,
+# where a float on the way rounds them
+_json_count = st.one_of(
+    st.integers(0, 6), st.integers(0, 10**9), st.integers(2**62 - 3000, 2**62 + 3000),
+    st.just(2**63 - 1),
+)
+
+
+@given(shots=st.lists(st.tuples(_json_count, _json_count), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_json_record_writer_matches_json_dumps_and_reads_back_bit_for_bit(tmp_path, shots):
+    record = ShotRecord(np.array(shots, dtype=np.int64), meta={"seed": 3})
+    text = serialize.format_table(record, "json")
+    assert text == json.dumps({"schema": 1, "meta": {"seed": 3},
+                               "shots": record.shots.tolist()}) + "\n"
+    path = tmp_path / "shots.json"
+    path.write_text(text)
+    back = serialize.read_record(path)
+    assert back.shots.dtype == record.shots.dtype and back.shots.shape == record.shots.shape
+    assert back.shots.tobytes() == record.shots.tobytes()
+    assert back.meta == {"seed": 3}
+
+
+@pytest.mark.parametrize("shots", ['[["1", 2], [3, 4]]', "[[true, false], [1, 2]]",
+                                   "[[2.0, true]]", '[[1, 2], [3, "4"]]'])
+def test_json_string_and_boolean_counts_are_refused(tmp_path, shots):
+    path = tmp_path / "shots.json"
+    path.write_text(f'{{"shots": {shots}}}')
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: shot counts must be "
+                                             "integers, not strings or booleans$"):
+        serialize.read_record(path)
+
+
+def test_whole_json_float_counts_read_as_their_integers(tmp_path):
+    path = tmp_path / "shots.json"
+    path.write_text(f'{{"shots": [[2.0, {2**60 + 7}], [0.0, 1e3]]}}')
+    assert serialize.read_record(path).shots.tolist() == [[2, 2**60 + 7], [0, 1000]]
+    path.write_text(f'{{"shots": [[2.5, {2**60 + 7}]]}}')
+    with pytest.raises(ParameterError, match="shot counts must be integers$"):
+        serialize.read_record(path)
+
+
+def test_a_wrong_header_is_quoted_to_40_characters(tmp_path):
+    path = tmp_path / "shots.csv"
+    record = sample_run(ExperimentParams(2.0, 0.5, 1.0), 200, seed=1)
+    path.write_text(serialize.format_table(record, "json"))
+    with pytest.raises(ParameterError) as info:
+        serialize.read_record(path)
+    assert f"header {serialize.format_table(record, 'json')[:40]!r} is not one of" in str(info.value)
+    assert len(str(info.value)) < len(str(path)) + 100
