@@ -47,24 +47,23 @@ def _save(path, text: str) -> None:
 
 
 def _emit(args, obj, extra: dict | None = None) -> None:
-    """Write ``obj`` to --out, or to stdout without one, as --format says,
-    else as the --out extension says, else as CSV."""
-    fmt = args.format or ("json" if str(args.out).lower().endswith(".json") else "csv")
-    text = serialize.format_table(obj, fmt, extra)
+    """Write ``obj`` to --out, or to stdout without one, as ``args.format``."""
+    text = serialize.format_table(obj, args.format, extra)
     if args.out is None:
         sys.stdout.write(text)
     else:
         _save(args.out, text)
 
 
-def _check_format(path, fmt: str | None = None, json_only: str | None = None) -> None:
-    """Refuse, before any work, a --format against a .csv/.json path, and CSV for ``json_only``."""
+def _check_format(path, fmt: str | None = None, json_only: str | None = None) -> str:
+    """The output format (``fmt``, else the .csv/.json extension, else CSV), checked first."""
     ext = next((ext for ext in ("csv", "json") if str(path).lower().endswith(f".{ext}")), None)
     if json_only and "csv" in (fmt, ext):
         asked = "--format csv" if fmt == "csv" else f"the path {path}"
         raise TwinbeamError(f"{json_only} writes JSON only, but {asked} asks for CSV")
     if fmt and ext and fmt != ext:
         raise TwinbeamError(f"--format {fmt} contradicts the path {path}")
+    return fmt or ext or "csv"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +160,8 @@ def _selection_rule(args) -> SelectionRule:
 
 def _run(args) -> int:
     if "format" in args:  # the commands whose --out takes either format
-        _check_format(args.out, args.format, "nongauss" if args.command == "nongauss" else None)
+        json_only = "nongauss" if args.command == "nongauss" else None
+        args.format = _check_format(args.out, args.format, json_only)
 
     if args.command == "joint":
         _emit(args, joint_table(_params(args), tol=args.tol))

@@ -148,8 +148,7 @@ def _conditional_figure(figure_id: str, outdir: Path, seed: int, tol: float) -> 
 
 
 def _post_selected(counts: np.ndarray, rule: SelectionRule) -> tuple[np.ndarray, float, int]:
-    """The s histogram (to the last s seen), mean s and number of the shots
-    ``rule`` accepts, summed over its t columns of a record's count table."""
+    """The s histogram (to the last s seen), mean s and number of shots ``rule`` accepts."""
     per_s = np.trim_zeros(counts[:, rule.mask(np.arange(counts.shape[1]))].sum(axis=1), "b")
     n_selected = int(per_s.sum())
     # an exact integer sum below 2**53 over the count: the float mean, bit for bit

@@ -21,8 +21,8 @@ with one ``np.loadtxt`` call (int64 count columns, a float64 ``p`` column).
 ``...`` marks the fields a caller adds through ``format_table``'s
 ``extra``.  CSV cells hold ints in decimal and floats as Python's shortest
 round-trip repr, so files are locale-independent and re-read bit-exactly.
-A record's CSV lines and JSON shots are formatted once per distinct (s, t)
-pair; JSON counts read as exact int64 (``2.0`` as 2; no strings, booleans).
+A record is formatted once per (s, t) pair when its table is no larger than
+it and its pairs repeat; JSON counts read as exact int64 (``2.0`` as 2).
 Every JSON payload opens with ``"schema": 1``; every file ends with a
 newline.  ``read_table`` and ``read_record`` raise ParameterError naming
 the path for a file they cannot read back: missing, not text, a wrong
@@ -34,7 +34,6 @@ missing field.  An output path that cannot be written raises it too.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import itertools
 import json
@@ -43,7 +42,7 @@ import os
 import re
 from dataclasses import asdict, astuple
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -57,28 +56,40 @@ from .sampling import ShotRecord
 SCHEMA = 1
 
 
+def format_json(fields: dict, indent: int | None = None) -> str:
+    """``{"schema": 1, **fields}`` as JSON text ending in a newline."""
+    return json.dumps({"schema": SCHEMA, **fields}, indent=indent) + "\n"
+
+
 class _Kind(NamedTuple):
     header: str | None  # None: the kind has no CSV form
     lines: Callable | None  # object -> CSV lines under the header
-    fields: Callable | None  # (object, extra) -> JSON fields after "schema"; None: a record
+    fields: Callable  # (object, extra) -> JSON fields after "schema"
+    text: Callable = format_json  # JSON fields -> JSON text
 
 
 def _cells(row) -> str:
     return ",".join(map(str, row))
 
 
-def _pair_texts(shots: np.ndarray, template: str) -> list[str]:
-    """``template.format(s, t)`` per shot, formatted once per distinct pair,
-    coded by the ranks of s and t (below the shot count, so no overflow)."""
-    s_values, code = np.unique(shots[:, 0], return_inverse=True)
-    t_values, t_rank = np.unique(shots[:, 1], return_inverse=True)
-    code *= t_values.size  # in place, and t_rank freed: a lower peak at the next sort
-    code += t_rank
-    del t_rank
-    codes, pair_of_shot = np.unique(code, return_inverse=True)
-    texts = map(template.format, s_values[codes // t_values.size].tolist(),
-                t_values[codes % t_values.size].tolist())
-    return np.array(list(texts), dtype=object)[pair_of_shot].tolist()
+def _pair_texts(shots: np.ndarray, template: str) -> Iterable[str]:
+    """``template.format(s, t)`` per shot, formatted per pair seen when the (s, t)
+    table has at most one cell per shot and two shots per pair seen or more."""
+    n_s, n_t = int(shots[:, 0].max()) + 1, int(shots[:, 1].max()) + 1
+    if n_s * n_t <= len(shots):
+        cell = shots[:, 0] * n_t + shots[:, 1]  # below the shot count: no overflow
+        seen = np.flatnonzero(np.bincount(cell))
+        if 2 * seen.size <= len(shots):
+            texts = np.empty(n_s * n_t, dtype=object)
+            texts[seen] = list(map(template.format, (seen // n_t).tolist(), (seen % n_t).tolist()))
+            return texts[cell].tolist()
+    return map(template.format, *shots.T.tolist())
+
+
+def _record_json(fields: dict) -> str:
+    """``format_json(fields)``, its last field, the shots, by ``_pair_texts``."""
+    head, _, tail = format_json({**fields, "shots": []}).rpartition("[]")
+    return f"{head}[{', '.join(_pair_texts(fields['shots'], '[{}, {}]'))}]{tail}"
 
 
 def _joint_lines(table: JointDistribution):
@@ -105,7 +116,8 @@ _KINDS = {
                           "weights": x.weights.tolist(), "tail_bound": x.tail_bound,
                           "M_t": x.M_t},
     ),
-    ShotRecord: _Kind("s,t", lambda x: _pair_texts(x.shots, "{},{}"), None),
+    ShotRecord: _Kind("s,t", lambda x: _pair_texts(x.shots, "{},{}"),
+                      lambda x, extra: {"meta": x.meta, "shots": x.shots}, _record_json),
     # a sweep is the list of SweepRow that nongauss.sweep returns
     list: _Kind(
         "axis,value,delta,delta_R,S_state,S_ref", lambda x: map(_cells, map(astuple, x)),
@@ -125,11 +137,6 @@ def format_csv(header: str, rows) -> str:
     return _csv_text(header, map(_cells, rows))
 
 
-def format_json(fields: dict, indent: int | None = None) -> str:
-    """``{"schema": 1, **fields}`` as JSON text ending in a newline."""
-    return json.dumps({"schema": SCHEMA, **fields}, indent=indent) + "\n"
-
-
 def format_table(obj, fmt: str = "json", extra: dict | None = None) -> str:
     """``obj`` as "csv" or "json" text; kinds without a CSV form are JSON
     whatever ``fmt`` says.  ``extra`` adds fields to a sweep's metadata or to
@@ -137,10 +144,7 @@ def format_table(obj, fmt: str = "json", extra: dict | None = None) -> str:
     kind = _KINDS[type(obj)]
     if fmt == "csv" and kind.header is not None:
         return _csv_text(kind.header, kind.lines(obj))
-    if kind.fields is None:  # a record: its shots.tolist() formatted per pair, spliced in
-        head = format_json({"meta": obj.meta, "shots": []})  # ends '"shots": []}\n'
-        return f"{head[:-4]}[{', '.join(_pair_texts(obj.shots, '[{}, {}]'))}]}}\n"
-    return format_json(kind.fields(obj, extra or {}))
+    return kind.text(kind.fields(obj, extra or {}))
 
 
 def _read_text(path) -> str:
@@ -223,21 +227,20 @@ def _json_counts(path, shots) -> np.ndarray:
     flat = itertools.chain.from_iterable
     try:
         widths, kinds = set(map(len, shots)), set(map(type, flat(shots)))
-    except TypeError as exc:
-        raise ParameterError(f"{path}: 'shots' is not a numeric array") from exc
-    if kinds & {str, bool}:
-        raise ParameterError(f"{path}: shot counts must be integers, not strings or booleans")
-    if float in kinds:  # a whole float literal counts as its integer
-        shots = [[int(v) if type(v) is float and v.is_integer() else v for v in row]
-                 for row in shots]
-        kinds = set(map(type, flat(shots)))
-    if widths == {2} and kinds == {int}:
-        with contextlib.suppress(OverflowError):  # beyond int64: through float
+        if float in kinds:  # a whole float literal counts as its integer
+            shots = [[int(v) if type(v) is float and v % 1 == 0 else v for v in r] for r in shots]
+            kinds = set(map(type, flat(shots)))
+        if widths == {2} and kinds == {int}:
             return np.fromiter(flat(shots), np.int64, 2 * len(shots)).reshape(-1, 2)
-    try:
-        return np.asarray(shots, dtype=float)
+        if not kinds & {str, bool}:
+            return np.asarray(shots, dtype=float)
+    except OverflowError:  # an int beyond int64, refused as ShotRecord words it
+        negative = any(type(v) is int and v < 0 for v in flat(shots))
+        raise ParameterError(f"{path}: shot counts must be "
+                             f"{'>= 0' if negative else 'integers below 2**63'}") from None
     except (ValueError, TypeError) as exc:
         raise ParameterError(f"{path}: 'shots' is not a numeric array") from exc
+    raise ParameterError(f"{path}: shot counts must be integers, not strings or booleans")
 
 
 def read_record(path) -> ShotRecord:

@@ -201,7 +201,6 @@ def test_estimate_refuses_a_csv_report(tmp_path, monkeypatch, capsys):
         report, capsys)
 
 
-
 @pytest.mark.parametrize("command, fmt, ext", [
     (["sample", "--shots", "10", "--seed", "1"], "json", "csv"),
     (["joint"], "csv", "json"),
@@ -225,6 +224,7 @@ def test_a_format_contradicting_the_out_extension_is_refused_before_computing(
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: --format {fmt} contradicts the path {path}"]
     assert not path.exists()
+
 
 def test_malformed_inputs_give_one_error_line(tmp_path, capsys):
     import twinbeam.cli as cli

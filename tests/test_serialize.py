@@ -324,7 +324,8 @@ def test_csv_refusals_name_the_rule(tmp_path, name):
         getattr(serialize, reader)(path)
 
 
-@pytest.mark.parametrize("count", ["1e30", "Infinity"])
+@pytest.mark.parametrize("count", ["1e30", "Infinity",
+                                   pytest.param(str(2 * 10**308), id="int-beyond-float")])
 def test_json_counts_beyond_int64_are_refused_without_a_warning(tmp_path, count):
     # the cast to int64 warned "invalid value encountered in cast" and wrapped
     # the count to -2**63, refused as a negative count
@@ -478,3 +479,23 @@ def test_a_wrong_header_is_quoted_to_40_characters(tmp_path):
         serialize.read_record(path)
     assert f"header {serialize.format_table(record, 'json')[:40]!r} is not one of" in str(info.value)
     assert len(str(info.value)) < len(str(path)) + 100
+
+
+@pytest.mark.parametrize("shots", [
+    sample_run(ExperimentParams(200.0, 0.5, 5.0), 3000, seed=2).shots,  # pairs repeat
+    np.indices((40, 50)).reshape(2, -1).T[::-1],  # every cell of the table once
+    np.tile(np.indices((40, 25)).reshape(2, -1).T, (2, 1)),  # every cell twice
+    np.array([[39, 0], [0, 49]] * 1000),  # a table as large as the record
+    sample_run(ExperimentParams(1.0, 0.5, 1e4), 3000, seed=2).shots,  # a sparse table
+    np.array([[2**63 - 1, 0], [0, 2**63 - 1]]),
+], ids=["repeats", "every-cell-once", "every-cell-twice", "cells-equal-shots", "sparse",
+        "int64-edges"])
+def test_record_writers_format_per_pair_and_per_shot_alike(shots):
+    # a table with no more cells than shots, each pair seen twice on average,
+    # is formatted per pair, any other record per shot; both give the row
+    # oracle's CSV and json.dumps' JSON
+    record = ShotRecord(np.ascontiguousarray(shots, dtype=np.int64))
+    rows = record.shots.tolist()
+    assert serialize.format_table(record, "csv") == csv_oracle("s,t", rows)
+    assert serialize.format_table(record, "json") == json.dumps(
+        {"schema": 1, "meta": {}, "shots": rows}) + "\n"
