@@ -1,8 +1,8 @@
 """Counting statistics of multimode twin-beam light.
 
 Closed-form joint and conditional photodetection statistics, entropy-based
-nonGaussianity of conditionally prepared states, exact direct-enumeration
-and Monte Carlo oracles, and moment/ML parameter inference.
+nonGaussianity of conditionally prepared states, a Monte Carlo oracle, and
+moment/ML parameter inference.
 """
 
 from .conditional import (
@@ -17,7 +17,6 @@ from .conditional import (
 from .core import (
     JointDistribution,
     PhotoCountDistribution,
-    brute_force_joint,
     joint_prob,
     joint_table,
     log_marginal,
@@ -66,7 +65,6 @@ __all__ = [
     "marginal",
     "marginal_dist",
     "log_marginal",
-    "brute_force_joint",
     "conditional_mean",
     "build_conditional",
     "cond_count_dist",

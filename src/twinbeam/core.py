@@ -47,9 +47,6 @@ A/(1-x) = 1/D,
 
     p(s, t) = D**-mu (B/(1-x))**(s+t) x**s C(s+mu-1, s) C(s, t) sum_{k<=t} u_k,
     u_0 = 1,  u_{k+1} = u_k x (t+mu-1-k)(t-k) / ((s-t+1+k)(k+1)).
-
-``brute_force_joint`` enumerates photon numbers per mode with exact integer
-binomial thinning and convolves the modes' tables.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ __all__ = [
     "marginal",
     "marginal_dist",
     "log_marginal",
-    "brute_force_joint",
 ]
 
 # Mass slack added on top of 10*tol when validating truncated distributions,
@@ -519,69 +515,3 @@ def marginal_dist(params: ExperimentParams, tol: float = 1e-12) -> PhotoCountDis
     refuse = f"marginal needs over {_MAX_CELLS_DEFAULT} counts, the budget"
     head = _law_tail(params.mu, params.mean_counts / params.mu, tol, _MAX_CELLS_DEFAULT, refuse)[0]
     return _assembled(PhotoCountDistribution, np.exp(head), tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# direct-enumeration oracle
-# ---------------------------------------------------------------------------
-
-_ORACLE_TAIL = 1e-12
-
-
-def brute_force_joint(mu: int, mean_photons: float, eta: float) -> JointDistribution:
-    """Joint count table straight from the model definition, no closed form.
-
-    Enumerates the per-mode photon number n (geometric law, both arms carry
-    the same n), thins each arm with an exact-integer binomial kernel, and
-    convolves the modes.  Intended as an oracle for small mode numbers;
-    unlike the closed forms it takes eta = 1 (no loss).
-
-    The geometric cutoff is the smallest that leaves a tail below 1e-12
-    summed over modes.
-    """
-    if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)):
-        raise ParameterError(f"mu must be an integer for direct enumeration, got {mu!r}")
-    if not 1 <= mu <= 4:
-        raise ParameterError(f"direct enumeration supports 1 <= mu <= 4, got {mu}")
-    if not (isinstance(eta, (int, float)) and 0.0 < float(eta) <= 1.0):
-        raise ParameterError(f"eta must be in (0, 1], got {eta!r}")
-    if not (isinstance(mean_photons, (int, float)) and float(mean_photons) >= 0.0):
-        raise ParameterError(f"mean_photons must be >= 0, got {mean_photons!r}")
-    mu = int(mu)
-    eta = float(eta)
-    n_mean = float(mean_photons)
-    lam_sq = n_mean / (mu + n_mean) if n_mean > 0.0 else 0.0
-
-    cutoff = 0
-    if lam_sq > 0.0:
-        cutoff = max(0, math.ceil(math.log(_ORACLE_TAIL / mu) / math.log(lam_sq)) - 1)
-
-    ns = np.arange(cutoff + 1)
-    geo = (1.0 - lam_sq) * lam_sq**ns if lam_sq > 0.0 else np.array([1.0])
-    # Exact-integer binomial thinning kernel: thin[n, k] = C(n, k) eta^k (1-eta)^(n-k)
-    thin = np.zeros((cutoff + 1, cutoff + 1))
-    for n in range(cutoff + 1):
-        for k in range(n + 1):
-            thin[n, k] = math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
-
-    weighted = geo[:, None] * thin
-    per_mode = weighted.T @ thin
-    table = per_mode
-    for _ in range(mu - 1):
-        table = _convolve_full(table, per_mode)
-    # Convolution order breaks bitwise symmetry in the last ulp; mirror the
-    # upper triangle so the stored table is exactly symmetric.
-    table = np.triu(table) + np.triu(table, 1).T
-
-    params = ExperimentParams(mu, eta, eta * n_mean)
-    return _assembled(JointDistribution, table, params=params, tol=_ORACLE_TAIL)
-
-
-def _convolve_full(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full 2-D convolution: row i of y adds x times band[b, j] = y[i, j - b]."""
-    cols = x.shape[1] + y.shape[1] - 1
-    out, pad = np.zeros((x.shape[0] + y.shape[0] - 1, cols)), np.zeros(cols + x.shape[1] - 1)
-    for i, row in enumerate(y):
-        pad[x.shape[1] - 1:cols] = row
-        out[i:i + x.shape[0]] += x @ np.lib.stride_tricks.sliding_window_view(pad, cols)[::-1]
-    return out

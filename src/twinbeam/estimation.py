@@ -13,9 +13,12 @@ The estimators mirror how the experiment is analysed:
   bracket doubling and bisection.
 
 Fits are sequential (eta from R first, then mu and M from the marginal).
-The standard errors are the delta method's: each moment estimate is a
-smooth function of sample means, so its error follows from the per-shot
-influence functions in one pass over the record, which keeps the arm-arm
+Every statistic is a sum over the record's (s, t) pair table, built once
+per estimate: the moments, the ML refinement's pooled level counts, the
+empirical histogram and the delta-method standard errors.  Each moment
+estimate is a smooth function of sample means, so its error follows from
+the per-shot influence functions, which depend on a shot only through its
+(s, t) cell: sqrt(sum n IF**2) over the table rows keeps the arm-arm
 correlation of a shot and draws no random numbers.  The estimates and
 their errors share one set of sample moments (mean(s + t) and the
 variances of s, t and s - t, each taken once), so the mu error is inf
@@ -31,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import _MAX_CELLS_DEFAULT, JointDistribution, PhotoCountDistribution, joint_table
 from .errors import DegenerateRecordError, ParameterError, TableSizeError
 from .params import ExperimentParams
-from .sampling import ShotRecord, histogram
+from .sampling import ShotRecord, _grid, _pair_table
 
 __all__ = ["EstimationReport", "noise_reduction", "estimate_params", "fidelity"]
 
@@ -72,17 +76,41 @@ class EstimationReport:
         return ExperimentParams(max(self.mu_hat, 1.0), self.eta_hat, self.M_hat)
 
 
+class _Sums(NamedTuple):
+    """Sums over the rows of a pair table, each weighted by its shot count n
+    (int64, exact as a float factor) and pairwise, as ``np.sum``'s."""
+
+    n: np.ndarray
+    shots: int
+
+    def total(self, x: np.ndarray) -> float:
+        return float(np.sum(self.n * x))
+
+    def var(self, dx: np.ndarray) -> float:  # of deviations from the mean, ddof=1
+        x = dx * dx
+        x *= self.n  # in place: a second temporary as long costs fresh pages per call
+        return float(np.sum(x)) / (self.shots - 1)
+
+
 def _moments(record: ShotRecord, need: int, what: str):
-    """The arms as floats, mean(s + t), var(s - t) and R = var(s - t) /
-    mean(s + t) of a record of at least ``need`` shots that carries light."""
+    """The pair table of a record of at least ``need`` shots that carries
+    light, its ``_Sums``, the float deviations ds = s - mean(s),
+    dt = t - mean(t) and dd = (s - t) - mean(s - t) of its rows, mean(s + t)
+    and var(s - t)."""
     if len(record) < need:
         raise DegenerateRecordError(f"{what} needs at least {need} shots")
-    s, t = record.s.astype(float), record.t.astype(float)
-    mean_sum = float(np.mean(s + t))
+    table = _pair_table(record)
+    sums = _Sums(table[2], len(record))
+    ds, dt = table[0].astype(float), table[1].astype(float)
+    total_s, total_t = sums.total(ds), sums.total(dt)
+    mean_sum = (total_s + total_t) / sums.shots
     if mean_sum <= 0.0:
         raise DegenerateRecordError("mean(s + t) is zero; record carries no light")
-    var_d = float(np.var(s - t, ddof=1))
-    return s, t, mean_sum, var_d, var_d / mean_sum
+    dd = ds - dt  # s - t, exact below 2**53
+    dd -= (total_s - total_t) / sums.shots
+    ds -= total_s / sums.shots
+    dt -= total_t / sums.shots
+    return table, sums, ds, dt, dd, mean_sum, sums.var(dd)
 
 
 def noise_reduction(record: ShotRecord) -> float:
@@ -91,12 +119,13 @@ def noise_reduction(record: ShotRecord) -> float:
     Equals 1 - eta for ideal twin beams; values below 1 certify nonclassical
     correlation.  No noise subtraction is applied.
     """
-    return _moments(record, 2, "noise reduction")[-1]
+    *_, mean_sum, var_d = _moments(record, 2, "noise reduction")
+    return var_d / mean_sum
 
 
-def _ml_refine(counts: np.ndarray, diagnostics: list[str]) -> tuple[float, float]:
-    """Maximum-likelihood (mu, M) of the closed-form marginal for pooled
-    counts.
+def _ml_refine(table, diagnostics: list[str]) -> tuple[float, float]:
+    """Maximum-likelihood (mu, M) of the closed-form marginal for the counts
+    of both arms pooled, from the rows (s, t, n) of a pair table.
 
     The ML mean is exactly the sample mean x_bar, and the profile score in
     mu, sum_j S(j)/(mu + j) - n*log1p(x_bar/mu) with S(j) the number of
@@ -104,16 +133,19 @@ def _ml_refine(counts: np.ndarray, diagnostics: list[str]) -> tuple[float, float
     The root is bracketed by doubling from mu = 1 and bisected to the last
     bit; it is clamped to [1, _MU_CAP], with a diagnostic at either bound.
     """
-    n = counts.size
-    top = int(counts.max())
+    s, t, counts = table
+    top = max(int(s.max()), int(t.max()))
     if top > _MAX_CELLS_DEFAULT:
         raise TableSizeError(
             f"maximum-likelihood refinement sums over {top} count levels, "
             f"exceeding the budget of {_MAX_CELLS_DEFAULT}"
         )
-    above = n - np.cumsum(np.bincount(counts, minlength=top + 1))[:top]  # S(j), j < top
-    levels = np.arange(top, dtype=float)
-    x_bar = float(np.mean(counts))
+    pooled = np.bincount(s, counts, top + 1) + np.bincount(t, counts, top + 1)
+    levels = np.arange(top + 1, dtype=float)
+    n = float(np.sum(pooled))
+    x_bar = float(np.sum(pooled * levels)) / n
+    above = n - np.cumsum(pooled)[:top]  # S(j), j < top
+    levels = levels[:top]
 
     def score_negative(mu: float) -> bool:
         return float(above @ (1.0 / (mu + levels))) <= n * math.log1p(x_bar / mu)
@@ -152,13 +184,13 @@ def estimate_params(
     ``compute_fidelity`` also scores the empirical histogram against the
     model table at the recovered parameters.
     """
-    s, t, mean_sum, var_d, r_hat = _moments(record, 100, "parameter estimation")
-    var_sum = float(np.var(s, ddof=1)) + float(np.var(t, ddof=1))
+    table, sums, ds, dt, dd, mean_sum, var_d = _moments(record, 100, "parameter estimation")
+    var_sum, r_hat = sums.var(ds) + sums.var(dt), var_d / mean_sum
     m_hat = 0.5 * mean_sum
     excess = 0.5 * var_sum - m_hat
     mu_hat = m_hat**2 / excess if excess > 0.0 else math.inf
     eta_hat = 1.0 - r_hat
-    errors = _standard_errors(s, t, m_hat, r_hat, excess, var_sum, var_d)
+    errors = _standard_errors(sums, ds, dt, dd, m_hat, r_hat, excess, var_sum, var_d)
     diagnostics: list[str] = []
     if not math.isfinite(mu_hat):
         diagnostics.append(
@@ -166,7 +198,7 @@ def estimate_params(
             "(sub-multithermal dispersion)"
         )
     if refine and math.isfinite(mu_hat):
-        mu_hat, m_hat = _ml_refine(np.concatenate([record.s, record.t]), diagnostics)
+        mu_hat, m_hat = _ml_refine(table, diagnostics)
         diagnostics.append("mu/M refined by maximum likelihood")
     if mu_hat < 1.0:
         diagnostics.append(f"moment mu {mu_hat!r} is below the domain bound; models take mu = 1")
@@ -179,35 +211,34 @@ def estimate_params(
         standard_errors=errors,
         n_shots=len(record),
     )
-    fid = _model_fidelity(record, report, diagnostics) if compute_fidelity else None
+    fid = _model_fidelity(table, report, diagnostics) if compute_fidelity else None
     return replace(report, fidelity=fid, diagnostics=tuple(diagnostics))
 
 
-def _standard_errors(s, t, m, r, excess, v_sum, vd) -> dict:
+def _standard_errors(sums: _Sums, ds, dt, dd, m, r, excess, v_sum, vd) -> dict:
     """Delta-method standard errors of the moment estimates (M, R, eta, mu).
 
     Each estimate is a smooth function of sample means, so its error is
-    sqrt(sum IF**2)/n over the per-shot influence functions IF.  With
-    ds = s - mean(s), dt = t - mean(t), dd = ds - dt and the estimates' own
-    moments M, R, vd = var(s - t), v_sum = var(s) + var(t) and
-    E = v_sum/2 - M (ddof=1): IF_M = (ds + dt)/2, IF_R = (dd**2 - vd - 2R IF_M)/(2M)
-    = -IF_eta, and for mu = M**2/E, IF_mu = (2M/E) IF_M - (M/E)**2 IF_E,
-    IF_E = (ds**2 + dt**2 - v_sum)/2 - IF_M.  The mu error is inf when
-    E <= 0, exactly where mu is.
+    sqrt(sum IF**2)/N over the N per-shot influence functions IF.  A shot's
+    IF depends only on its (s, t) cell, so the sum is sum n IF**2 over the
+    rows of the pair table.  With ds = s - mean(s), dt = t - mean(t),
+    dd = ds - dt and the estimates' own moments M, R, vd = var(s - t),
+    v_sum = var(s) + var(t) and E = v_sum/2 - M (ddof=1): IF_M = (ds + dt)/2,
+    IF_R = (dd**2 - vd - 2R IF_M)/(2M) = -IF_eta, and for mu = M**2/E,
+    IF_mu = (2M/E) IF_M - (M/E)**2 IF_E, IF_E = (ds**2 + dt**2 - v_sum)/2 - IF_M.
+    The mu error is inf when E <= 0, exactly where mu is.  The rows'
+    deviations ds, dt and dd are overwritten.
     """
-    def sum_sq(x):  # einsum's own loop; a BLAS dot took 8 ms at 1e5 terms on 2 vCPUs, this 0.06
-        return float(np.einsum("i,i->", x, x))
+    def root_sum_sq(x):  # squares x in place
+        x *= x
+        return math.sqrt(sums.total(x)) / sums.shots
 
-    n, ds, dt = s.size, s - float(np.mean(s)), t - float(np.mean(t))
-    dd = ds - dt
     if_m = ds + dt
     if_m *= 0.5
     dd *= dd  # from here on, IF_R times 2M
     dd -= vd
     dd -= 2.0 * r * if_m
-    errors = {"M": math.sqrt(sum_sq(if_m)) / n, "R": math.sqrt(sum_sq(dd)) / (2.0 * m * n)}
-    errors["eta"] = errors["R"]
-    errors["mu"] = math.inf
+    r_error, mu_error = root_sum_sq(dd) / (2.0 * m), math.inf
     if excess > 0.0:
         ratio = m / excess
         ds *= ds  # from here on, IF_mu
@@ -216,17 +247,16 @@ def _standard_errors(s, t, m, r, excess, v_sum, vd) -> dict:
         ds -= v_sum
         ds *= -0.5 * ratio**2
         ds += (2.0 * ratio + ratio**2) * if_m
-        errors["mu"] = math.sqrt(sum_sq(ds)) / n
-    return errors
+        mu_error = root_sum_sq(ds)
+    return {"M": root_sum_sq(if_m), "R": r_error, "eta": r_error, "mu": mu_error}
 
 
-def _model_fidelity(record: ShotRecord, report: EstimationReport,
-                    diagnostics: list[str]) -> float | None:
-    """Fidelity of the record against the model table at ``report.params()``,
-    or None with the refusal as a diagnostic."""
+def _model_fidelity(table, report: EstimationReport, diagnostics: list[str]) -> float | None:
+    """Fidelity of the record's pair table against the model table at
+    ``report.params()``, or None with the refusal as a diagnostic."""
     try:
         model = joint_table(report.params(), tol=_TABLE_TOL)
-        return fidelity(histogram(record), model)
+        return fidelity(_grid(table) / report.n_shots, model)
     except (ParameterError, TableSizeError) as exc:
         diagnostics.append(f"fidelity skipped: {exc}")
         return None

@@ -27,7 +27,7 @@ class ExperimentParams:
     eta:
         Detection efficiency per mode, identical in both arms, in (0, 1].
         The closed-form expressions are singular at eta = 1 (no loss), where
-        the marginal, the sampler and direct enumeration still hold.
+        the marginal and the sampler still hold.
     mean_counts:
         Mean number of detected counts per beam (eta times the mean photon
         number).

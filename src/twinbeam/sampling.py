@@ -142,18 +142,42 @@ def sample_run(
     return ShotRecord(shots=shots, meta=meta)
 
 
-def histogram(record: ShotRecord) -> JointDistribution:
-    """Normalised empirical joint table of a record; raw counts and the shot
-    total are preserved in the table metadata."""
-    s = record.s
-    t = record.t
+def _pair_table(record: ShotRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The record's (s, t) count table as rows (s, t, n): its occupied cells
+    in s-major order with their shot counts, tallied by one ``np.bincount``
+    when the grid has at most one cell per shot, else the shots themselves,
+    each with count 1.  Every statistic of a record is a sum over these rows."""
+    s, t = record.s, record.t
+    n_t = int(t.max()) + 1
+    if (int(s.max()) + 1) * n_t > len(record):  # Python ints: no overflow
+        return s, t, np.broadcast_to(np.int64(1), s.shape)  # read-only, no memory
+    cell = s * n_t  # below the shot count: no overflow
+    cell += t
+    counts = np.bincount(cell)
+    cell = np.flatnonzero(counts)
+    return cell // n_t, cell % n_t, counts[cell]
+
+
+def _grid(table) -> np.ndarray:
+    """The dense int64 count grid of a pair table, refused beyond the cell budget."""
+    s, t, n = table
     shape = (int(s.max()) + 1, int(t.max()) + 1)
     if shape[0] * shape[1] > _MAX_CELLS_DEFAULT:
         raise TableSizeError(
             f"histogram needs {shape[0]} x {shape[1]} cells, "
             f"exceeding the budget of {_MAX_CELLS_DEFAULT}"
         )
-    counts = np.bincount(s * shape[1] + t, minlength=shape[0] * shape[1]).reshape(shape)
+    cell = s * shape[1]  # below the cell budget: no overflow
+    cell += t
+    counts = np.zeros(shape[0] * shape[1], dtype=np.int64)
+    np.add.at(counts, cell, n)
+    return counts.reshape(shape)
+
+
+def histogram(record: ShotRecord) -> JointDistribution:
+    """Normalised empirical joint table of a record; raw counts and the shot
+    total are preserved in the table metadata."""
+    counts = _grid(_pair_table(record))
     n = len(record)
     try:
         params = ExperimentParams.from_dict(record.meta["params"])

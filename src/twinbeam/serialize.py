@@ -21,8 +21,9 @@ with one ``np.loadtxt`` call (int64 count columns, a float64 ``p`` column).
 ``...`` marks the fields a caller adds through ``format_table``'s
 ``extra``.  CSV cells hold ints in decimal and floats as Python's shortest
 round-trip repr, so files are locale-independent and re-read bit-exactly.
-A record is formatted once per (s, t) pair when its table is no larger than
-it and its pairs repeat; JSON counts read as exact int64 (``2.0`` as 2).
+A record is formatted once per row of its (s, t) pair table when the table
+has two shots per row or more; JSON counts read as exact int64 (``2.0`` as
+2), and JSON probabilities and counts refuse strings and booleans.
 Every JSON payload opens with ``"schema": 1``; every file ends with a
 newline.  ``read_table`` and ``read_record`` raise ParameterError naming
 the path for a file they cannot read back: missing, not text, a wrong
@@ -51,7 +52,7 @@ from .core import _MAX_CELLS_DEFAULT, JointDistribution, PhotoCountDistribution
 from .errors import ParameterError, TableSizeError
 from .estimation import EstimationReport
 from .nongauss import NonGaussReport
-from .sampling import ShotRecord
+from .sampling import ShotRecord, _pair_table
 
 SCHEMA = 1
 
@@ -72,22 +73,19 @@ def _cells(row) -> str:
     return ",".join(map(str, row))
 
 
-def _pair_texts(shots: np.ndarray, template: str) -> Iterable[str]:
-    """``template.format(s, t)`` per shot, formatted per pair seen when the (s, t)
-    table has at most one cell per shot and two shots per pair seen or more."""
-    n_s, n_t = int(shots[:, 0].max()) + 1, int(shots[:, 1].max()) + 1
-    if n_s * n_t <= len(shots):
-        cell = shots[:, 0] * n_t + shots[:, 1]  # below the shot count: no overflow
-        seen = np.flatnonzero(np.bincount(cell))
-        if 2 * seen.size <= len(shots):
-            texts = np.empty(n_s * n_t, dtype=object)
-            texts[seen] = list(map(template.format, (seen // n_t).tolist(), (seen % n_t).tolist()))
-            return texts[cell].tolist()
-    return map(template.format, *shots.T.tolist())
+def _pair_texts(record: ShotRecord, template: str) -> Iterable[str]:
+    """``template.format(s, t)`` per shot, formatted once per row of the pair
+    table when the table has two shots per row or more."""
+    s, t, n = _pair_table(record)
+    if 2 * n.size > len(record):
+        return map(template.format, *record.shots.T.tolist())
+    texts = np.empty((int(s.max()) + 1, int(t.max()) + 1), dtype=object)
+    texts[s, t] = list(map(template.format, s.tolist(), t.tolist()))
+    return texts[record.s, record.t].tolist()
 
 
 def _record_json(fields: dict) -> str:
-    """``format_json(fields)``, its last field, the shots, by ``_pair_texts``."""
+    """``format_json(fields)``, its last field, the record, by ``_pair_texts``."""
     head, _, tail = format_json({**fields, "shots": []}).rpartition("[]")
     return f"{head}[{', '.join(_pair_texts(fields['shots'], '[{}, {}]'))}]{tail}"
 
@@ -116,8 +114,8 @@ _KINDS = {
                           "weights": x.weights.tolist(), "tail_bound": x.tail_bound,
                           "M_t": x.M_t},
     ),
-    ShotRecord: _Kind("s,t", lambda x: _pair_texts(x.shots, "{},{}"),
-                      lambda x, extra: {"meta": x.meta, "shots": x.shots}, _record_json),
+    ShotRecord: _Kind("s,t", lambda x: _pair_texts(x, "{},{}"),
+                      lambda x, extra: {"meta": x.meta, "shots": x}, _record_json),
     # a sweep is the list of SweepRow that nongauss.sweep returns
     list: _Kind(
         "axis,value,delta,delta_R,S_state,S_ref", lambda x: map(_cells, map(astuple, x)),
@@ -206,9 +204,12 @@ def read_table(path) -> np.ndarray:
     if _is_json(path):
         probs = _read_json(path, "probs")["probs"]
         try:
-            return np.asarray(probs, dtype=float)
+            table = np.asarray(probs, dtype=float)
         except (ValueError, TypeError) as exc:
             raise ParameterError(f"{path}: 'probs' is not a numeric table") from exc
+        if {str, bool} & set(map(type, np.asarray(probs, dtype=object).flat)):
+            raise ParameterError(f"{path}: probabilities must be numbers, not strings or booleans")
+        return table
     headers = (_KINDS[JointDistribution].header, _KINDS[PhotoCountDistribution].header)
     counts, values = _read_csv(path, headers)
     shape = tuple((counts.max(axis=0) + 1).tolist())

@@ -15,7 +15,6 @@ import numpy as np
 from twinbeam import (
     ExperimentParams,
     SelectionRule,
-    brute_force_joint,
     build_conditional,
     cond_count_dist,
     conditional_mean,
@@ -33,7 +32,7 @@ from twinbeam import (
 )
 from twinbeam.core import _joint_square, _marginal_probs
 
-from conftest import PARAMS_A, PARAMS_B
+from conftest import PARAMS_A, PARAMS_B, brute_force_joint
 
 BOTH = (PARAMS_A, PARAMS_B)
 

@@ -15,7 +15,6 @@ from twinbeam import (
     SelectionRule,
     TableSizeError,
     TwinbeamError,
-    brute_force_joint,
     build_conditional,
     cond_count_dist,
     joint_prob,
@@ -30,7 +29,7 @@ from twinbeam import (
 
 from twinbeam.core import _joint_square, _marginal_probs
 
-from conftest import PARAMS_A, PARAMS_B, domain_st
+from conftest import PARAMS_A, PARAMS_B, brute_force_joint, domain_st
 
 params_st = st.builds(
     ExperimentParams,

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from twinbeam import (
 )
 from twinbeam import estimation
 from twinbeam.core import _log_pmf
+from twinbeam.sampling import _pair_table
 
 from conftest import bootstrap_errors, cell_tally
 
@@ -189,6 +192,72 @@ def test_bootstrap_memory_stays_small(params_b):
     assert peak < 32 * 2**20
 
 
+def test_estimate_memory_is_the_pair_tables(params_b):
+    # the record-length float arrays of the moments and errors took 53 MiB
+    rec = sample_run(params_b, 1_000_000, seed=5)
+    tracemalloc.start()
+    try:
+        estimate_params(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+# --- sums over the pair table against exact and per-shot oracles -------------------
+
+
+def _exact_moments(record: ShotRecord):
+    """Oracle: M, R, eta and mu as exact fractions of the record's integer sums."""
+    n = len(record)
+    s, t = record.s.tolist(), record.t.tolist()
+
+    def var(x):  # ddof=1
+        return Fraction(n * sum(v * v for v in x) - sum(x) ** 2, n * (n - 1))
+
+    m = Fraction(sum(s) + sum(t), 2 * n)
+    r = var([a - b for a, b in zip(s, t)]) / (2 * m)
+    excess = (var(s) + var(t)) / 2 - m
+    return m, r, 1 - r, m * m / excess
+
+
+def _per_shot_errors(record: ShotRecord) -> dict:
+    """Oracle: the delta-method errors sqrt(sum IF**2)/n with one influence
+    term per shot and numpy's own moments, as the errors were formed before
+    the pair table."""
+    s, t = record.s.astype(float), record.t.astype(float)
+    m = 0.5 * float(np.mean(s + t))
+    vd = float(np.var(s - t, ddof=1))
+    v_sum = float(np.var(s, ddof=1)) + float(np.var(t, ddof=1))
+    ratio = m / (0.5 * v_sum - m)
+    ds, dt = s - float(np.mean(s)), t - float(np.mean(t))
+    if_m = 0.5 * (ds + dt)
+    if_r = ((ds - dt) ** 2 - vd - (vd / m) * if_m) / (2.0 * m)
+    if_mu = (2.0 * ratio + ratio**2) * if_m - 0.5 * ratio**2 * (ds**2 + dt**2 - v_sum)
+    errors = {key: math.sqrt(float(np.sum(x * x))) / s.size
+              for key, x in (("M", if_m), ("R", if_r), ("eta", if_r), ("mu", if_mu))}
+    return {**errors, "mu": errors["mu"] if ratio > 0.0 else math.inf}
+
+
+@pytest.mark.parametrize("params", [
+    ExperimentParams(197.0, 0.06, 13.4), ExperimentParams(25.0, 0.056, 17.1),
+    ExperimentParams(2.0, 0.5, 3.0),
+    ExperimentParams(1.0, 0.5, 1e4),  # no pair repeats: the table is the shots
+])
+def test_table_sums_match_exact_moments_and_per_shot_errors(params):
+    for shots, seed in itertools.product((1_000, 10_000, 100_000), (1, 2, 3)):
+        record = sample_run(params, shots, seed=seed)
+        report = estimate_params(record, compute_fidelity=False)
+        m, r, eta, mu = _exact_moments(record)
+        assert report.M_hat == float(m)  # rounded once
+        for got, want, rel in ((report.R_hat, r, 2e-15), (report.eta_hat, eta, 2e-14),
+                               (report.mu_hat, mu, 2e-14)):
+            assert abs(Fraction(got) - want) <= rel * abs(want), (shots, seed)
+        oracle = _per_shot_errors(record)
+        for key, se in report.standard_errors.items():
+            assert se == pytest.approx(oracle[key], rel=1e-12, abs=0.0), (key, shots, seed)
+
+
 # --- cell tally ----------------------------------------------------------------
 
 
@@ -214,6 +283,33 @@ def test_cell_tally_matches_row_sort(shots):
     ref_cells, ref_counts = _row_sort_tally(s, t)
     assert np.array_equal(cells, ref_cells)
     assert np.array_equal(counts, ref_counts)
+
+
+@given(shots=st.lists(st.tuples(_count, _count), min_size=1, max_size=300))
+@example(shots=[(0, 0), (1, 1), (0, 1), (1, 0)])  # (s_max + 1)(t_max + 1) == n
+@example(shots=[(0, 0), (2, 1), (0, 1), (1, 0), (2, 1)])  # one cell more than shots
+@example(shots=[(4, 4)] * 25)  # one cell, merged
+@example(shots=[(4, 4)] * 7)  # one cell, shot by shot
+@example(shots=[(s % 3, 0) for s in range(9)])  # an all-zero arm
+@example(shots=[(s, 0) for s in (3, 1, 4, 1, 5, 9, 2, 6)])
+@example(shots=[(_BIG + 2048 * i, _BIG - 1000 * i) for i in range(6)] * 2)  # both arms near 2**62
+@settings(max_examples=150, deadline=None)
+def test_pair_table_merged_by_cell_is_the_cell_tally(shots):
+    record = ShotRecord(shots=np.array(shots, dtype=np.int64))
+    s, t, n = _pair_table(record)
+    cells, counts = cell_tally(record.s, record.t)
+    grid = (max(a for a, _ in shots) + 1) * (max(b for _, b in shots) + 1)
+    if grid <= len(shots):  # one bincount: the cells themselves, s-major
+        assert np.array_equal(np.column_stack([s, t]), cells) and np.array_equal(n, counts)
+    else:  # the shots themselves, each with count 1
+        assert np.array_equal(np.column_stack([s, t]), record.shots) and np.all(n == 1)
+        merged, where = np.unique(np.column_stack([s, t]), axis=0, return_inverse=True)
+        assert np.array_equal(merged, cells)
+        assert np.array_equal(np.bincount(where.ravel(), n), counts)
+    if grid <= 10_000:  # and the histogram scatters it into its dense grid
+        dense = np.zeros(tuple(cells.max(axis=0) + 1), dtype=np.int64)
+        dense[tuple(cells.T)] = counts
+        assert np.array_equal(histogram(record).meta["counts"], dense)
 
 
 def test_bootstrap_runs_on_counts_near_2_62():
@@ -278,7 +374,8 @@ def test_ml_root_clamps_and_caps_with_diagnostics():
         (rng.poisson(5.0, size=5_000), 1e6, "capped"),
     ):
         diagnostics: list[str] = []
-        mu_ml, m_ml = estimation._ml_refine(counts, diagnostics)
+        table = _pair_table(ShotRecord(counts.reshape(2, -1).T))  # its arms pool to counts
+        mu_ml, m_ml = estimation._ml_refine(table, diagnostics)
         assert mu_ml == mu and m_ml == np.mean(counts)
         assert len(diagnostics) == 1 and note in diagnostics[0]
 
@@ -286,7 +383,7 @@ def test_ml_root_clamps_and_caps_with_diagnostics():
 def test_ml_refinement_refuses_huge_counts():
     counts = np.array([0, 3, 10**9, 7] * 50, dtype=np.int64)
     with pytest.raises(TableSizeError):
-        estimation._ml_refine(counts, [])
+        estimation._ml_refine(_pair_table(ShotRecord(counts.reshape(2, -1).T)), [])
 
 
 def test_estimate_needs_enough_shots():

@@ -462,6 +462,17 @@ def test_json_string_and_boolean_counts_are_refused(tmp_path, shots):
         serialize.read_record(path)
 
 
+@pytest.mark.parametrize("probs", ['[["0.5", 0.5]]', "[[true, 0.0], [0.0, 0.0]]",
+                                   '["0.25", 0.75]', "[false, 1.0]", '[[0.5, 0.5], [0.0, "0"]]'])
+def test_json_string_and_boolean_probabilities_are_refused(tmp_path, probs):
+    # np.asarray(..., dtype=float) parsed "0.5" and took true as 1.0
+    path = tmp_path / "table.json"
+    path.write_text(f'{{"probs": {probs}}}')
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: probabilities must be "
+                                             "numbers, not strings or booleans$"):
+        serialize.read_table(path)
+
+
 def test_whole_json_float_counts_read_as_their_integers(tmp_path):
     path = tmp_path / "shots.json"
     path.write_text(f'{{"shots": [[2.0, {2**60 + 7}], [0.0, 1e3]]}}')
