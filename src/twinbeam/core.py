@@ -34,7 +34,9 @@ in [0, 1]: nothing cancels, overflows or needs rescaling, and the cells
 p2(s) R(s, t) keep full precision where p(0, 0) = (1 + m(2-eta))**-mu
 underflows.  The tail sums P(count >= t | s) obey the same recurrence for
 t >= 1.  Both are swept one anti-diagonal s + t = d at a time
-(``_conditional_law``).
+(``_conditional_law``).  Tables are immutable, so ``joint_table`` hands back
+the one it built for an equal (params, tol) while that is among the 8 most
+recently asked for and at most 2**17 cells (``_RecentTables``).
 
 ``joint_prob`` is an independent oracle cell by cell.  The series over
 photon levels p(s, t) = A**mu B**(s+t) sum_{l >= max(s,t)} x**l
@@ -52,6 +54,8 @@ A/(1-x) = 1/D,
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
@@ -311,19 +315,68 @@ def _joint_square(params: ExperimentParams, p2: np.ndarray) -> np.ndarray:
     return np.triu(table) + np.triu(table, 1).T
 
 
+class _RecentTables:
+    """The ``slots`` joint tables last asked for, keyed by (params, tol),
+    least recently used out first; a table of over ``max_cells`` cells is
+    never kept.  A lock guards every read and write of the store."""
+
+    def __init__(self, slots: int, max_cells: int) -> None:
+        self.slots, self.max_cells = slots, max_cells
+        self._tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key) -> Optional[JointDistribution]:
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self._tables.move_to_end(key)
+            return table
+
+    def keep(self, key, table: JointDistribution) -> JointDistribution:
+        """``table``, or the one another thread kept for ``key`` meanwhile."""
+        if table.probs.size > self.max_cells:
+            return table
+        with self._lock:
+            table = self._tables.setdefault(key, table)
+            self._tables.move_to_end(key)
+            while len(self._tables) > self.slots:
+                self._tables.popitem(last=False)
+            return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+
+
+# at most 8 tables of 2**17 cells (1 MiB) each, 8 MiB in all
+_JOINT_TABLES = _RecentTables(slots=8, max_cells=2**17)
+
+
 def joint_table(params: ExperimentParams, tol: float = 1e-12) -> JointDistribution:
     """Joint-count table with adaptively chosen bounds and omitted mass <= tol.
 
     The square support is sized from the closed-form marginal quantile, so
     that at most tol/4 of the mass lies beyond it on each beam.  Refuses to
     build more than _MAX_CELLS_DEFAULT cells.
+
+    A call whose (params, tol) equals one of the 8 most recently asked for
+    returns the table built for it then, the same object.  Only tables of
+    at most 2**17 cells (1 MiB) are kept, so the kept tables hold at most
+    8 MiB; larger ones are built on every call, and refusals are never
+    kept.  A returned table, its ``probs`` and its ``meta`` are shared
+    between callers and must not be written.
     """
     params.require_lossy()
     tol = _validate_tol(tol)
+    key = (params, tol)
+    table = _JOINT_TABLES.get(key)
+    if table is not None:
+        return table
     mu, side = params.mu, math.isqrt(_MAX_CELLS_DEFAULT)
     refuse = f"table needs over {side}**2 cells for tol={tol}, the budget of {_MAX_CELLS_DEFAULT}"
     head = _law_tail(mu, params.mean_counts / mu, tol / 4, side, refuse)[0]
-    return _assembled(JointDistribution, _joint_square(params, np.exp(head)), params=params, tol=tol)
+    table = _assembled(JointDistribution, _joint_square(params, np.exp(head)), params=params, tol=tol)
+    return _JOINT_TABLES.keep(key, table)
 
 
 # ---------------------------------------------------------------------------

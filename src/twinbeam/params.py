@@ -44,7 +44,8 @@ class ExperimentParams:
                 raise ParameterError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(float(value)):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            # + 0.0 stores -0.0 as 0.0: equal params then write equal bytes
+            object.__setattr__(self, name, float(value) + 0.0)
         if self.mu < 1.0:
             raise ParameterError(f"mu must be >= 1, got {self.mu}")
         if not 0.0 < self.eta <= 1.0:

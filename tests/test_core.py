@@ -2,7 +2,9 @@ import decimal
 import math
 import subprocess
 import sys
+import threading
 import time
+import weakref
 from decimal import Decimal
 
 import numpy as np
@@ -27,6 +29,7 @@ from twinbeam import (
     sample_run,
 )
 
+from twinbeam import core, serialize
 from twinbeam.core import _joint_square, _marginal_probs
 
 from conftest import PARAMS_A, PARAMS_B, brute_force_joint, domain_st
@@ -179,6 +182,78 @@ def test_joint_table_cell_budget():
     with pytest.raises(TableSizeError) as err:
         joint_table(ExperimentParams(1.0, 0.5, 1e4), tol=1e-12)
     assert "cells" in str(err.value)
+
+
+# --- joint_table reuse ---------------------------------------------------------
+
+
+def test_a_repeated_table_is_the_one_built_and_formats_as_a_fresh_build():
+    params = ExperimentParams(25.0, 0.056, 17.1)
+    core._JOINT_TABLES.clear()
+    table = joint_table(params, tol=1e-8)
+    assert joint_table(ExperimentParams(25, 0.056, 17.1), 1e-8) is table
+    core._JOINT_TABLES.clear()
+    fresh = joint_table(params, tol=1e-8)
+    assert fresh is not table
+    for fmt in ("csv", "json"):
+        assert serialize.format_table(fresh, fmt) == serialize.format_table(table, fmt)
+
+
+def test_another_tol_or_params_is_another_table():
+    table = joint_table(PARAMS_B, tol=1e-8)
+    other_tol = joint_table(PARAMS_B, tol=1e-9)
+    other_params = joint_table(ExperimentParams(25.0, 0.056, 17.2), tol=1e-8)
+    assert other_tol is not table and other_tol.tol == 1e-9
+    assert other_params is not table and other_params.params.mean_counts == 17.2
+    assert joint_table(PARAMS_B, tol=1e-8) is table
+
+
+def test_eight_other_tables_push_the_first_out():
+    core._JOINT_TABLES.clear()
+    first = joint_table(PARAMS_B, tol=1e-8)
+    for mean in range(1, 8):
+        joint_table(ExperimentParams(2.0, 0.5, float(mean)), tol=1e-8)
+    assert joint_table(PARAMS_B, tol=1e-8) is first  # 7 others: still kept, now most recent
+    for mean in range(11, 19):
+        joint_table(ExperimentParams(2.0, 0.5, float(mean)), tol=1e-8)
+    again = joint_table(PARAMS_B, tol=1e-8)
+    assert again is not first and np.array_equal(again.probs, first.probs)
+
+
+def test_a_table_over_the_kept_size_is_not_kept():
+    table = joint_table(ExperimentParams(1.0, 0.5, 100.0), tol=1e-8)
+    assert table.probs.size > core._JOINT_TABLES.max_cells
+    ref = weakref.ref(table)
+    del table
+    assert ref() is None
+
+
+def test_threads_asking_for_one_table_share_it():
+    core._JOINT_TABLES.clear()
+    tables, errors = [], []
+
+    def ask():
+        try:
+            tables.append(joint_table(PARAMS_A, tol=1e-9))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(tables) == 8
+    assert all(np.array_equal(t.probs, tables[0].probs) for t in tables)
+    # each thread returned the table kept first, whether or not it built one
+    assert all(t is tables[0] for t in tables)
+    assert joint_table(PARAMS_A, tol=1e-9) is tables[0]
 
 
 def test_quantiles_match_scipy_stats():

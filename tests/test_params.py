@@ -28,6 +28,15 @@ def test_vacuum():
     assert p.lambda_sq == 0.0
 
 
+def test_negative_zero_mean_is_stored_as_zero():
+    # -0.0 compares and hashes equal to 0.0, and once wrote "mean_counts": -0.0
+    p = ExperimentParams(1, 0.5, -0.0)
+    assert p == ExperimentParams(1.0, 0.5, 0.0)
+    assert math.copysign(1.0, p.mean_counts) == 1.0
+    assert p.to_dict() == {"mu": 1.0, "eta": 0.5, "mean_counts": 0.0}
+    assert repr(p.mean_counts) == "0.0"
+
+
 @pytest.mark.parametrize(
     "mu, eta, m",
     [
