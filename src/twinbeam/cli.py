@@ -56,8 +56,8 @@ def _emit(args, obj, extra: dict | None = None) -> None:
 
 
 def _check_format(path, fmt: str | None = None, json_only: str | None = None) -> str:
-    """The output format (``fmt``, else the .csv/.json extension, else CSV), checked first."""
-    ext = next((ext for ext in ("csv", "json") if str(path).lower().endswith(f".{ext}")), None)
+    """The output format (``fmt``, else the one the path names, else CSV), checked first."""
+    ext = serialize._path_format(path)
     if json_only and "csv" in (fmt, ext):
         asked = "--format csv" if fmt == "csv" else f"the path {path}"
         raise TwinbeamError(f"{json_only} writes JSON only, but {asked} asks for CSV")

@@ -148,7 +148,7 @@ def _ml_refine(table, diagnostics: list[str]) -> tuple[float, float]:
     levels = levels[:top]
 
     def score_negative(mu: float) -> bool:
-        return float(above @ (1.0 / (mu + levels))) <= n * math.log1p(x_bar / mu)
+        return float((above / (mu + levels)).sum()) <= n * math.log1p(x_bar / mu)
 
     if score_negative(1.0):
         diagnostics.append("maximum-likelihood mu clamped at the domain bound mu = 1")

@@ -22,23 +22,27 @@ with one ``np.loadtxt`` call (int64 count columns, a float64 ``p`` column).
 ``extra``.  CSV cells hold ints in decimal and floats as Python's shortest
 round-trip repr, so files are locale-independent and re-read bit-exactly.
 A record is formatted once per row of its (s, t) pair table when the table
-has two shots per row or more; JSON counts read as exact int64 (``2.0`` as
-2), and JSON probabilities and counts refuse strings and booleans.
-Every JSON payload opens with ``"schema": 1``; every file ends with a
-newline.  ``read_table`` and ``read_record`` raise ParameterError naming
-the path for a file they cannot read back: missing, not text, a wrong
-header, no rows, a ragged row or an empty line between rows, a bad cell
-(not a plain decimal of its column's type: ``1_0``, ``2 # c``, a count
-beyond int64; named by its file line), a negative count, invalid JSON or a
-missing field.  An output path that cannot be written raises it too.
+has two shots per row or more.  Every JSON payload opens with
+``"schema": 1``; every file ends with a newline.  Writers and readers alike
+take a name ending in ``.json`` (any case, a bare ``.json`` too) as JSON,
+any other as CSV.  One JSON number rule reads ``probs`` and ``shots``: a
+rectangular array (1-D or 2-D for a table, 2-D for a record) of ints and
+floats only, counts as exact int64 (``2.0`` as 2).  ``read_table`` and
+``read_record`` raise ParameterError naming the path for a file they
+cannot read back: missing, not text, a wrong header, no rows, a ragged row
+or an empty line between rows, a bad cell (not a plain decimal of its
+column's type: ``1_0``, ``2 # c``, a count beyond int64; named by its file
+line), a negative count, invalid JSON, a missing field or a JSON array
+that breaks the number rule.  An unwritable output path raises it too.
 """
 
 from __future__ import annotations
 
+import functools
 import io
-import itertools
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import asdict, astuple
@@ -154,15 +158,42 @@ def _read_text(path) -> str:
         raise ParameterError(f"{path}: not a text file") from exc
 
 
-def _read_json(path, key: str):
-    """A JSON file's top-level object, which must hold ``key``."""
+def _path_format(path) -> str | None:
+    """The format a path's name holds for writers and readers: "csv", "json" or None."""
+    name = str(path).lower()
+    return next((ext for ext in ("csv", "json") if name.endswith(f".{ext}")), None)
+
+
+def _read_json(path, key: str, noun: str, ndims: tuple[int, ...], exact: bool = False):
+    """A JSON file's top-level object and its field ``key`` as an array of one
+    of ``ndims`` dimensions by the JSON number rule: int64 where ``exact`` and
+    every cell is whole, else float64.  ``noun`` names the cells in a refusal."""
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict) or key not in payload:
         raise ParameterError(f"{path}: no {key!r} field")
-    return payload
+    cells, shape = [payload[key]], []
+    while (kinds := set(map(type, cells))) == {list} and len(widths := set(map(len, cells))) == 1:
+        shape += widths  # one level deeper, all of one width
+        cells = functools.reduce(operator.iadd, cells, [])  # one new list, extended by each
+    kind = "integers" if exact else "numbers"
+    if kinds & {str, bool}:
+        raise ParameterError(f"{path}: {noun} must be {kind}, not strings or booleans")
+    if kinds - {int, float} or len(shape) not in ndims:
+        dims = " or ".join(f"{n}-D" for n in ndims)
+        raise ParameterError(f"{path}: {key!r} is not a {dims} array of numbers")
+    if exact and float in kinds:  # a whole float counts as its integer
+        cells = [int(v) if type(v) is float and v % 1 == 0 else v for v in cells]
+        kinds = set(map(type, cells))
+    try:
+        dtype = np.int64 if exact and kinds <= {int} else np.float64
+        return payload, np.fromiter(cells, dtype, len(cells)).reshape(shape)
+    except OverflowError:  # an int beyond the dtype; a negative one is refused as negative
+        negative = any(type(v) is int and v < 0 for v in cells)
+        bound = f"{kind} {'below 2**63' if exact else 'within the float range'}"
+        raise ParameterError(f"{path}: {noun} must be {'>= 0' if negative else bound}") from None
 
 
 def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -195,21 +226,10 @@ def _read_csv(path, headers: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | 
     return counts, (rows["p"] if n_counts < len(names) else None)
 
 
-def _is_json(path) -> bool:
-    return Path(path).suffix.lower() == ".json"
-
-
 def read_table(path) -> np.ndarray:
     """Load a probability table of either dimensionality from CSV or JSON."""
-    if _is_json(path):
-        probs = _read_json(path, "probs")["probs"]
-        try:
-            table = np.asarray(probs, dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ParameterError(f"{path}: 'probs' is not a numeric table") from exc
-        if {str, bool} & set(map(type, np.asarray(probs, dtype=object).flat)):
-            raise ParameterError(f"{path}: probabilities must be numbers, not strings or booleans")
-        return table
+    if _path_format(path) == "json":
+        return _read_json(path, "probs", "probabilities", (1, 2))[1]
     headers = (_KINDS[JointDistribution].header, _KINDS[PhotoCountDistribution].header)
     counts, values = _read_csv(path, headers)
     shape = tuple((counts.max(axis=0) + 1).tolist())
@@ -222,33 +242,10 @@ def read_table(path) -> np.ndarray:
     return table
 
 
-def _json_counts(path, shots) -> np.ndarray:
-    """JSON ``shots`` for ShotRecord: rows of ints as exact int64, all else as
-    float, so that a fractional, infinite or huge count is refused, not cut."""
-    flat = itertools.chain.from_iterable
-    try:
-        widths, kinds = set(map(len, shots)), set(map(type, flat(shots)))
-        if float in kinds:  # a whole float literal counts as its integer
-            shots = [[int(v) if type(v) is float and v % 1 == 0 else v for v in r] for r in shots]
-            kinds = set(map(type, flat(shots)))
-        if widths == {2} and kinds == {int}:
-            return np.fromiter(flat(shots), np.int64, 2 * len(shots)).reshape(-1, 2)
-        if not kinds & {str, bool}:
-            return np.asarray(shots, dtype=float)
-    except OverflowError:  # an int beyond int64, refused as ShotRecord words it
-        negative = any(type(v) is int and v < 0 for v in flat(shots))
-        raise ParameterError(f"{path}: shot counts must be "
-                             f"{'>= 0' if negative else 'integers below 2**63'}") from None
-    except (ValueError, TypeError) as exc:
-        raise ParameterError(f"{path}: 'shots' is not a numeric array") from exc
-    raise ParameterError(f"{path}: shot counts must be integers, not strings or booleans")
-
-
 def read_record(path) -> ShotRecord:
     """Load a shot record from CSV (``s,t`` rows) or JSON (shots and meta)."""
-    if _is_json(path):
-        payload = _read_json(path, "shots")
-        shots = _json_counts(path, payload["shots"])
+    if _path_format(path) == "json":
+        payload, shots = _read_json(path, "shots", "shot counts", (2,), exact=True)
         meta = payload.get("meta", {})
     else:
         shots, _ = _read_csv(path, (_KINDS[ShotRecord].header,))

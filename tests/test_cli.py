@@ -236,14 +236,34 @@ def test_malformed_inputs_give_one_error_line(tmp_path, capsys):
     header_only.write_text("s,t,p\n")
     bad_cell = tmp_path / "bad_cell.csv"
     bad_cell.write_text("s,t\n" + "".join(f"{i % 7},{i % 5}\n" for i in range(150)) + "3,2.5\n")
+    beyond_float = tmp_path / "beyond_float.json"
+    beyond_float.write_text(f'{{"probs": [[{2 * 10**308}, 0.5]]}}')
     capsys.readouterr()
     for argv, path in ((["fidelity", "--a", str(header_only), "--b", str(table)], header_only),
+                       (["fidelity", "--a", str(beyond_float), "--b", str(table)], beyond_float),
                        (["estimate", "--input", str(bad_cell)], bad_cell),
                        (["estimate", "--input", str(tmp_path / "missing.csv")],
                         tmp_path / "missing.csv")):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+
+def test_files_named_dot_json_are_json_to_writers_and_readers(tmp_path, capsys):
+    # pathlib gives ".json" no suffix: --out wrote JSON there, but the
+    # readers took the file for CSV
+    import twinbeam.cli as cli
+
+    record, table = tmp_path / "record" / ".json", tmp_path / "table" / ".JSON"
+    point = ["--mu", "2", "--eta", "0.5", "--mean", "1"]
+    assert cli.main(["sample", *point, "--shots", "500", "--seed", "3", "--out", str(record)]) == 0
+    assert cli.main(["joint", *point, "--tol", "1e-8", "--out", str(table)]) == 0
+    assert json.loads(record.read_text())["schema"] == json.loads(table.read_text())["schema"] == 1
+    capsys.readouterr()
+    assert cli.main(["estimate", "--input", str(record)]) == 0
+    assert capsys.readouterr().out.startswith("shots      : 500\n")
+    assert cli.main(["fidelity", "--a", str(table), "--b", str(table)]) == 0
+    assert capsys.readouterr().out == "1.0\n"
 
 
 def test_consecutive_calls_reuse_one_parser(monkeypatch, capsys):

@@ -276,6 +276,8 @@ MALFORMED = {
     "not_object.json": "[1, 2]\n",
     "ragged.json": '{"probs": [[1], [1, 2]], "shots": [[1], [1, 2]]}\n',
     "fractional.json": '{"probs": "x", "shots": [[1, 2.5]]}\n',
+    "scalar.json": '{"probs": 0.5, "shots": 5}\n',
+    "cube.json": '{"probs": [[[0.5, 0.5]]], "shots": [[[1, 2]]]}\n',
     "blank_line.csv": "s,t\n1,2\n\n3,4\n",
     "whitespace_line.csv": "s,t,p\n0,0,0.5\n \t \n1,1,0.25\n",
     "comment.csv": "s,t\n1,2 # c\n",
@@ -470,6 +472,18 @@ def test_json_string_and_boolean_probabilities_are_refused(tmp_path, probs):
     path.write_text(f'{{"probs": {probs}}}')
     with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: probabilities must be "
                                              "numbers, not strings or booleans$"):
+        serialize.read_table(path)
+
+
+@pytest.mark.parametrize("probs, rule", [
+    (f"[[{2 * 10**308}, 0.5]]", "probabilities must be numbers within the float range"),
+    (f"[{-2 * 10**308}, 0.5]", "probabilities must be >= 0"),
+], ids=["positive", "negative"])
+def test_json_probabilities_beyond_any_float_are_refused(tmp_path, probs, rule):
+    # the cast to float raised OverflowError
+    path = tmp_path / "table.json"
+    path.write_text(f'{{"probs": {probs}}}')
+    with pytest.raises(ParameterError, match=f"^{re.escape(f'{path}: {rule}')}$"):
         serialize.read_table(path)
 
 
